@@ -3,10 +3,11 @@
 //! replaces, across bucket sizes and code widths.
 //!
 //! The quantized path does `m` table lookups per probe (plus one LUT build
-//! of `m · k` dots per bucket visit) where the exact path does one
-//! `dim`-length dot per probe — the ISSUE's ≥ 2× scan-throughput target at
-//! 8 bits is measured here, and the scalar/AVX2 gap of the LUT kernel is
-//! isolated the same way `kernels.rs` isolates it for `dot`.
+//! of `m · k` four-wide dots per query, shared by every bucket the query
+//! visits) where the exact path does one `dim`-length dot per probe — the
+//! ≥ 2× scan-throughput target at 8 bits is measured here, and the
+//! scalar/AVX2 gap of the LUT kernel is isolated the same way `kernels.rs`
+//! isolates it for `dot`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemp_core::QuantizedBucket;
@@ -39,7 +40,8 @@ fn bench_scan_vs_full(c: &mut Criterion) {
         for bits in [4u8, 8, 12] {
             let quant = QuantizedBucket::train(&probes, bits, 1).unwrap();
             let mut lut = Vec::new();
-            // LUT build + gather scan: the whole per-bucket-visit cost.
+            // LUT build + gather scan: the cost of a query's first QUANT
+            // bucket (later buckets reuse the table).
             group.bench_with_input(BenchmarkId::new(&format!("lut{bits}"), n), &n, |b, _| {
                 b.iter(|| {
                     quant.fill_lut(black_box(&query), &mut lut);

@@ -9,7 +9,10 @@
 //!
 //! It also measures the machine-level wins of the 8-bit representation on a
 //! synthetic 4096×50 bucket: residency reduction (gated ≥ 4×) and LUT-scan
-//! speedup over the full f64 scan (gated ≥ 2×).
+//! speedup over the full f64 scan (gated ≥ 2×), and reports the two halves
+//! of the LUT path apart — the table build a query pays once and the
+//! gather scan it pays per bucket — plus each dataset engine's quantized
+//! vs full-precision residency.
 //!
 //! Exit status 1 on any violation. With `report=<path>` a JSON summary is
 //! written for CI archiving.
@@ -70,6 +73,7 @@ fn main() {
         let mut quant = Lemp::builder().variant(LempVariant::LI).quantize(8).build(&w.probes);
         let quant_topk = quant.row_top_k(&w.queries, k);
         let quant_above = canonical(quant.above_theta(&w.queries, theta).entries);
+        let mem = quant.memory_usage();
 
         // Bit-exactness: identical ids in identical order, identical score
         // *bits* — not an epsilon comparison.
@@ -106,16 +110,24 @@ fn main() {
             if topk_exact { "exact".into() } else { "DIVERGES".into() },
             if above_exact { "exact".into() } else { "DIVERGES".into() },
             format!("{recall:.4}"),
+            format!("{} / {}", mem.quantized_bytes, mem.full_bytes),
         ]);
         dataset_reports.push(format!(
             "{{\"name\":\"{}\",\"topk_exact\":{topk_exact},\"above_exact\":{above_exact},\
-             \"recall\":{recall:.6}}}",
-            w.name
+             \"recall\":{recall:.6},\"engine_quant_bytes\":{},\"engine_full_bytes\":{}}}",
+            w.name, mem.quantized_bytes, mem.full_bytes
         ));
     }
     print_table(
         &format!("Quantized buckets — verified 8-bit vs exact, no-reverify at {bits} bits"),
-        &["Dataset", "n", "Top-k (verified)", "Above-θ (verified)", &format!("Recall@{k}")],
+        &[
+            "Dataset",
+            "n",
+            "Top-k (verified)",
+            "Above-θ (verified)",
+            &format!("Recall@{k}"),
+            "Engine bytes (quant / full)",
+        ],
         &rows,
     );
 
@@ -123,7 +135,9 @@ fn main() {
     let (_, dirs) = GeneratorConfig::gaussian(4096, 50, 0.0).generate(seed).decompose();
     let qb = QuantizedBucket::train(&dirs, 8, seed).unwrap();
     let full_bytes = dirs.len() * dirs.dim() * 8;
-    let residency_ratio = full_bytes as f64 / qb.resident_bytes() as f64;
+    // A standalone bucket owns its codebook, so both count.
+    let quant_bytes = qb.resident_bytes() + qb.codebook().resident_bytes();
+    let residency_ratio = full_bytes as f64 / quant_bytes as f64;
 
     let query = {
         let (_, q) = GeneratorConfig::gaussian(1, 50, 0.0).generate(seed + 1).decompose();
@@ -142,12 +156,19 @@ fn main() {
         qb.scores(&lut, &mut scores);
     });
     let scan_speedup = full_s / lut_s;
+    // The two halves apart: the table build a query pays once, and the
+    // gather scan it pays per bucket.
+    let lut_build_s = time_best(5, 20, || qb.fill_lut(std::hint::black_box(&query), &mut lut));
+    qb.fill_lut(&query, &mut lut);
+    let gather_s = time_best(5, 20, || qb.scores(std::hint::black_box(&lut), &mut scores));
     println!(
-        "\n8-bit bucket (4096×50): residency {full_bytes} → {} bytes ({residency_ratio:.1}×), \
-         scan {:.1}µs → {:.1}µs ({scan_speedup:.1}×)",
-        qb.resident_bytes(),
+        "\n8-bit bucket (4096×50): residency {full_bytes} → {quant_bytes} bytes \
+         ({residency_ratio:.1}×), scan {:.1}µs → {:.1}µs ({scan_speedup:.1}×) = LUT build \
+         {:.1}µs per query + gather {:.1}µs",
         full_s * 1e6,
-        lut_s * 1e6
+        lut_s * 1e6,
+        lut_build_s * 1e6,
+        gather_s * 1e6
     );
     if residency_ratio < 4.0 {
         violations.push(format!("residency reduction {residency_ratio:.2}× < 4×"));
@@ -171,8 +192,12 @@ fn main() {
         let json = format!(
             "{{\n  \"gate\": \"repro-quantized\",\n  \"scale\": {scale},\n  \"bits\": {bits},\n  \
              \"k\": {k},\n  \"residency_ratio\": {residency_ratio:.3},\n  \
-             \"scan_speedup\": {scan_speedup:.3},\n  \"violations\": {},\n  \
+             \"scan_speedup\": {scan_speedup:.3},\n  \
+             \"lut_build_ns_per_query\": {:.1},\n  \"scan_ns_per_query\": {:.1},\n  \
+             \"violations\": {},\n  \
              \"datasets\": [{}]\n}}\n",
+            lut_build_s * 1e9,
+            gather_s * 1e9,
             violations.len(),
             dataset_reports.join(",")
         );

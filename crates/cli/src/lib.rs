@@ -65,11 +65,12 @@ so abs/floor/chunk/adaptive/shards compose freely (all combinations are exact);
 shards=<n> (n >= 1) partitions the probes across n shard engines (exact results,
 shard-parallel execution); shard-policy picks round-robin (rr) or length-banded
 partitioning and requires shards= or a sharded image; quantize=<bits> (1..=16)
-trains per-bucket subspace codebooks at warm-up and lets the tuner pick the
-quantized LUT scan per bucket — every candidate is re-verified against the
-full-precision vectors, so answers stay exact; quantize-force=true skips the
-tuner's load-sensitive LUT-vs-exact timing and always routes codebooked
-buckets through the LUT scan (reproducible QUANT usage for benchmarks); explain=true prints the
+trains one subspace codebook per engine (per shard) at warm-up, encodes every
+bucket against it, and lets the tuner pick the quantized LUT scan per bucket —
+every candidate is re-verified against the full-precision vectors, so answers
+stay exact; quantize-force=true skips the tuner's load-sensitive LUT-vs-exact
+timing and always routes encoded buckets through the LUT scan (reproducible
+QUANT usage for benchmarks); explain=true prints the
 compiled per-bucket plan summary to stderr (a quantized bucket names its bits,
 codebook size and distortion bound);
 durable=<dir> write-ahead logs every POST /probes edit into <dir> before applying
@@ -258,8 +259,8 @@ fn parse_quantize(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Parses `quantize-force=<bool>`: route every bucket with trained
-/// codebooks through the quantized LUT scan instead of letting the tuner
+/// Parses `quantize-force=<bool>`: route every encoded bucket through
+/// the quantized LUT scan instead of letting the tuner
 /// time LUT vs exact (which varies with machine load). Requires
 /// `quantize=<bits>`.
 fn parse_quantize_force(args: &[String], bits: u8) -> Result<bool, String> {
@@ -2016,7 +2017,8 @@ mod tests {
             &format!("out={}", out2.display()),
         ]))
         .unwrap();
-        // A quantized image persists its codebooks and answers identically.
+        // A quantized image persists its codebook and codes and answers
+        // identically.
         run(&s(&["index", p.to_str().unwrap(), eng.to_str().unwrap(), "quantize=8"])).unwrap();
         run(&s(&[
             "topk",

@@ -356,14 +356,15 @@ impl AdaptiveReport {
 /// layouts; LENGTH needs none). The bandit warm-up pulls every arm at least
 /// once, so this is not speculative work.
 fn ensure_arm_indexes(
-    bucket: &mut Bucket,
+    buckets: &mut ProbeBuckets,
+    b: usize,
     selector: &AdaptiveSelector,
     cfg: &RunConfig,
     clock: &mut BuildClock,
 ) {
-    ensure_for(bucket, ResolvedMethod::Coord(1), 1.0, cfg, 0, clock);
+    ensure_for(buckets, b, ResolvedMethod::Coord(1), 1.0, cfg, clock);
     if selector.cfg.use_incr && selector.arm_count() > 2 {
-        ensure_for(bucket, ResolvedMethod::Incr(2), 1.0, cfg, 0, clock);
+        ensure_for(buckets, b, ResolvedMethod::Incr(2), 1.0, cfg, clock);
     }
 }
 
@@ -418,7 +419,7 @@ pub(crate) fn above_theta_adaptive_with(
 
     let nbuckets = buckets.bucket_count();
     for b in 0..nbuckets {
-        let bucket = &mut buckets.buckets_mut()[b];
+        let bucket = &buckets.buckets()[b];
         let unpruned = unpruned_prefix(&batch, theta, bucket.max_len);
         if unpruned == 0 {
             break; // later buckets are shorter: pruned for every query
@@ -427,7 +428,7 @@ pub(crate) fn above_theta_adaptive_with(
             emit_zero_bucket(bucket, &batch, 0, unpruned, &mut entries, &mut counters);
             continue;
         }
-        ensure_arm_indexes(bucket, selector, cfg, &mut clock);
+        ensure_arm_indexes(buckets, b, selector, cfg, &mut clock);
         let bucket = &buckets.buckets()[b];
         adaptive_above_bucket(
             b,
@@ -456,6 +457,7 @@ pub(crate) fn above_theta_adaptive_with(
             bucket_count: nbuckets,
             indexes_built: clock.built,
             method_mix: mix,
+            lut_builds: 0,
         },
     }
 }
@@ -568,6 +570,7 @@ pub(crate) fn above_theta_adaptive_prepared(
             bucket_count: buckets.bucket_count(),
             indexes_built: 0,
             method_mix: mix,
+            lut_builds: 0,
         },
     }
 }
@@ -628,14 +631,14 @@ pub(crate) fn row_top_k_adaptive_with(
             // only grows after seeding, so a bucket pruned now stays pruned.
             let theta_seed = tuner::seed_threshold(buckets, dir, k);
             for b in 0..buckets.bucket_count() {
-                let bucket = &mut buckets.buckets_mut()[b];
-                if bucket.max_len <= 0.0 {
+                let max_len = buckets.buckets()[b].max_len;
+                if max_len <= 0.0 {
                     continue;
                 }
-                if local_threshold(theta_seed, 1.0, bucket.max_len) > 1.0 + 1e-12 {
+                if local_threshold(theta_seed, 1.0, max_len) > 1.0 + 1e-12 {
                     break;
                 }
-                ensure_arm_indexes(bucket, selector, cfg, &mut clock);
+                ensure_arm_indexes(buckets, b, selector, cfg, &mut clock);
             }
             // The sweep itself (Sec. 4.5 driver with bandit arm choices).
             let mut list = adaptive_topk_one(
@@ -668,6 +671,7 @@ pub(crate) fn row_top_k_adaptive_with(
             bucket_count: buckets.bucket_count(),
             indexes_built: clock.built,
             method_mix: mix,
+            lut_builds: 0,
         },
     }
 }
@@ -796,6 +800,7 @@ pub(crate) fn row_top_k_adaptive_prepared(
             bucket_count: buckets.bucket_count(),
             indexes_built: 0,
             method_mix: mix,
+            lut_builds: 0,
         },
     }
 }

@@ -28,6 +28,7 @@ pub mod tree_bucket;
 use lemp_apss::L2apScratch;
 use lemp_baselines::ta::SeenSet;
 
+use crate::quant::QueryLut;
 use crate::scratch::{CpArray, ExtCpArray};
 
 /// Everything a bucket method needs to know about the current query.
@@ -82,8 +83,9 @@ pub struct MethodScratch {
     pub ranges: Vec<(usize, usize)>,
     /// Result buffer for adapters that verify internally.
     pub row: Vec<(u32, f64)>,
-    /// Query-specific lookup table for the quantized scan (`m·k` entries).
-    pub lut: Vec<f64>,
+    /// The current query's lookup table for the quantized scan (`m·k`
+    /// entries), built once per query at its first QUANT bucket.
+    pub lut: QueryLut,
     /// Approximate score buffer for the quantized scan (`n` entries).
     pub qscores: Vec<f64>,
 }
@@ -99,7 +101,7 @@ impl MethodScratch {
             focus: Vec::new(),
             ranges: Vec::new(),
             row: Vec::new(),
-            lut: Vec::new(),
+            lut: QueryLut::default(),
             qscores: Vec::new(),
         }
     }

@@ -17,6 +17,7 @@
 //! first use to further reduce computational cost").
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lemp_apss::{BlshIndex, L2apIndex};
@@ -24,7 +25,7 @@ use lemp_baselines::{CoverTree, TaIndex};
 use lemp_linalg::VectorStore;
 
 use crate::index::{ColumnIndex, RowIndex};
-use crate::quant::QuantizedBucket;
+use crate::quant::{self, PqCodebook, QuantizedBucket};
 
 /// Controls the greedy bucketization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +81,8 @@ pub struct BucketIndexes {
     pub l2ap: Option<L2apIndex>,
     /// BayesLSH signatures over the unit directions.
     pub blsh: Option<BlshIndex>,
-    /// Quantized representation (subspace codebooks + packed codes) for the
-    /// LUT scoring scan.
+    /// Quantized representation (packed codes under the engine's shared
+    /// codebook, plus this bucket's distortion bound) for the LUT scan.
     pub quant: Option<QuantizedBucket>,
 }
 
@@ -247,13 +248,15 @@ impl Bucket {
         }
     }
 
-    /// Trains the quantized representation at the given code width if
-    /// absent; returns whether it was built now. A zero or out-of-range
-    /// `bits` leaves the bucket unquantized (train refuses it).
-    pub fn ensure_quant(&mut self, bits: u8, seed: u64) -> bool {
+    /// Encodes the bucket against the engine codebook if its codes are
+    /// absent; returns whether they were encoded now.
+    ///
+    /// # Panics
+    /// If the codebook was trained for another dimensionality.
+    pub fn ensure_quant(&mut self, codebook: &Arc<PqCodebook>) -> bool {
         if self.indexes.quant.is_none() {
-            self.indexes.quant = QuantizedBucket::train(&self.dirs, bits, seed);
-            self.indexes.quant.is_some()
+            self.indexes.quant = Some(codebook.encode(&self.dirs));
+            true
         } else {
             false
         }
@@ -268,8 +271,8 @@ pub struct MemoryUsage {
     /// Full-precision residency: unit directions and original vectors
     /// (8 bytes per coordinate each) plus per-probe length and id.
     pub full_bytes: u64,
-    /// Quantized residency: codebooks + packed codes plus per-probe length
-    /// and id; zero until codebooks are trained.
+    /// Quantized residency: the engine codebook (once) + packed codes plus
+    /// per-probe length and id; zero until the codebook is trained.
     pub quantized_bytes: u64,
 }
 
@@ -294,6 +297,9 @@ pub struct ProbeBuckets {
     /// count-preserving edits (an insert absorbed by an existing bucket,
     /// a re-tune) that leave every other observable unchanged.
     epoch: u64,
+    /// The engine's PQ codebook, shared by every bucket's codes; trained
+    /// on first use ([`ProbeBuckets::ensure_quant`]).
+    codebook: Option<Arc<PqCodebook>>,
 }
 
 /// Process-global epoch source: every fresh stamp is strictly greater than
@@ -356,6 +362,7 @@ impl ProbeBuckets {
             buckets,
             prep_ns: start.elapsed().as_nanos() as u64,
             epoch: next_epoch(),
+            codebook: None,
         }
     }
 
@@ -399,9 +406,13 @@ impl ProbeBuckets {
     }
 
     /// Probe-residency accounting: full-precision bytes vs the quantized
-    /// representation's bytes, summed over buckets.
+    /// representation's bytes (the shared codebook once, plus every
+    /// encoded bucket's codes).
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut mem = MemoryUsage::default();
+        if let Some(cb) = &self.codebook {
+            mem.quantized_bytes += cb.resident_bytes() as u64;
+        }
         for b in &self.buckets {
             let n = b.len() as u64;
             mem.full_bytes += n * (16 * self.dim as u64 + 12);
@@ -410,6 +421,62 @@ impl ProbeBuckets {
             }
         }
         mem
+    }
+
+    /// The engine's PQ codebook, once trained (or loaded).
+    pub fn codebook(&self) -> Option<&Arc<PqCodebook>> {
+        self.codebook.as_ref()
+    }
+
+    /// Installs (or clears) the engine codebook (persistence). Encoded
+    /// buckets must index into the installed codebook.
+    pub(crate) fn set_codebook(&mut self, codebook: Option<Arc<PqCodebook>>) {
+        self.codebook = codebook;
+    }
+
+    /// Makes bucket `b` QUANT-ready at code width `bits`: trains the engine
+    /// codebook if there is none yet, then encodes the bucket against it if
+    /// its codes are absent. Returns how many structures were built (0–2).
+    /// Zero-length buckets, an empty probe set and out-of-range widths
+    /// leave everything untouched.
+    pub(crate) fn ensure_quant(&mut self, b: usize, bits: u8) -> u64 {
+        if self.buckets[b].max_len <= 0.0 || self.buckets[b].indexes.quant.is_some() {
+            return 0;
+        }
+        let mut built = 0;
+        if self.codebook.is_none() {
+            let Some(codebook) = self.train_codebook(bits) else { return 0 };
+            self.codebook = Some(Arc::new(codebook));
+            built += 1;
+        }
+        let codebook = self.codebook.clone().expect("trained above");
+        self.epoch = next_epoch();
+        if self.buckets[b].ensure_quant(&codebook) {
+            built += 1;
+        }
+        built
+    }
+
+    /// Trains a codebook on an evenly strided sample of at most
+    /// [`quant::SAMPLE_PER_CENTROID`]`·2^bits` of the non-zero directions,
+    /// in length-sorted order (buckets and their rows are both sorted).
+    fn train_codebook(&self, bits: u8) -> Option<PqCodebook> {
+        if bits == 0 || bits > quant::MAX_QUANT_BITS {
+            return None;
+        }
+        let rows: Vec<(usize, usize)> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.max_len > 0.0)
+            .flat_map(|(bi, b)| (0..b.len()).map(move |lid| (bi, lid)))
+            .collect();
+        let mut sample = VectorStore::empty(self.dim).ok()?;
+        for i in quant::strided(rows.len(), quant::sample_cap(bits)) {
+            let (bi, lid) = rows[i];
+            sample.push(self.buckets[bi].dirs.vector(lid)).ok()?;
+        }
+        PqCodebook::train(&sample, bits, quant::CODEBOOK_SEED)
     }
 
     /// Full mutable access to the bucket vector, for dynamic maintenance
@@ -426,7 +493,7 @@ impl ProbeBuckets {
 
     /// Reassembles a bucket set from persisted parts (engine loading).
     pub(crate) fn from_parts(dim: usize, total: usize, buckets: Vec<Bucket>) -> Self {
-        Self { dim, total, buckets, prep_ns: 0, epoch: next_epoch() }
+        Self { dim, total, buckets, prep_ns: 0, epoch: next_epoch(), codebook: None }
     }
 }
 

@@ -190,15 +190,10 @@ impl DynamicLemp {
             Some(w) => w.per_bucket[b],
             None => return,
         };
+        // QUANT codes re-encode against the engine codebook; it is never
+        // retrained by an edit.
         let mut clock = BuildClock::default();
-        let seed = runner::cfg_seed(&self.config, b);
-        runner::warm_bucket(
-            &mut self.buckets.buckets_vec_mut()[b],
-            &params,
-            &self.config,
-            seed,
-            &mut clock,
-        );
+        runner::warm_bucket(&mut self.buckets, b, &params, &self.config, &mut clock);
     }
 
     /// Number of live probe vectors.
@@ -445,7 +440,9 @@ impl DynamicLemp {
     /// warm engine stays warm — every bucket of the compacted layout is
     /// re-indexed before the call returns — but the tuned per-bucket
     /// parameters reset to defaults (the old buckets no longer exist);
-    /// call [`DynamicLemp::warm`] again to re-tune.
+    /// call [`DynamicLemp::warm`] again to re-tune. The quantization
+    /// codebook is retrained over the compacted probe set (edits never
+    /// retrain it; a rebuild is where it catches up with them).
     pub fn rebuild(&mut self) {
         let (ids, store) = self.live_vectors();
         let mut rebuilt = ProbeBuckets::build(&store, &self.policy);
@@ -627,10 +624,10 @@ impl DynamicLemp {
         };
         let mut w = std::io::BufWriter::new(writer);
         // Same backward-compat rule as the static format: quantization off
-        // → byte-identical LEMPDYN1 image; on → LEMPDYN2 with the
+        // → byte-identical LEMPDYN1 image; on → LEMPDYN3 with the
         // quantized section appended after the bucket section.
         let quantized = self.config.quantize_bits > 0;
-        w.write_all(if quantized { DYN_MAGIC2 } else { DYN_MAGIC })?;
+        w.write_all(if quantized { DYN_MAGIC3 } else { DYN_MAGIC })?;
         write_f64(&mut w, self.policy.length_ratio)?;
         write_u64(&mut w, self.policy.min_bucket as u64)?;
         write_u64(&mut w, self.policy.cache_bytes as u64)?;
@@ -667,14 +664,16 @@ impl DynamicLemp {
     pub fn read_from<R: std::io::Read>(reader: R) -> Result<Self, PersistError> {
         use crate::persist::{
             expect_eof, read_bucket_section, read_config, read_f64, read_quant_section, read_u64,
+            QuantSection,
         };
         let mut r = std::io::BufReader::new(reader);
         let mut magic = [0u8; 8];
         std::io::Read::read_exact(&mut r, &mut magic)
             .map_err(|_| PersistError::Format("file too short for magic".into()))?;
         let quantized = match &magic {
-            m if m == DYN_MAGIC => false,
-            m if m == DYN_MAGIC2 => true,
+            m if m == DYN_MAGIC => None,
+            m if m == DYN_MAGIC2 => Some(QuantSection::PerBucket),
+            m if m == DYN_MAGIC3 => Some(QuantSection::Shared),
             _ => return Err(PersistError::Format(format!("bad magic {magic:?}"))),
         };
         let policy = BucketPolicy {
@@ -701,8 +700,8 @@ impl DynamicLemp {
         }
         let mut buckets = read_bucket_section(&mut r)?;
         let mut config = config;
-        if quantized {
-            config.quantize_bits = read_quant_section(&mut r, &mut buckets)?;
+        if let Some(format) = quantized {
+            config.quantize_bits = read_quant_section(&mut r, &mut buckets, format)?;
         }
         expect_eof(&mut r)?;
 
@@ -800,6 +799,7 @@ impl Engine for DynamicLemp {
 
 const DYN_MAGIC: &[u8; 8] = b"LEMPDYN1";
 const DYN_MAGIC2: &[u8; 8] = b"LEMPDYN2";
+const DYN_MAGIC3: &[u8; 8] = b"LEMPDYN3";
 
 /// A fresh single-vector bucket.
 fn singleton(id: u32, v: &[f64]) -> Bucket {
@@ -1135,7 +1135,7 @@ mod tests {
         );
         let mut buf = Vec::new();
         e.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], b"LEMPDYN2");
+        assert_eq!(&buf[..8], b"LEMPDYN3");
         let mut loaded = DynamicLemp::read_from(&buf[..]).unwrap();
         check_invariants(&loaded);
         assert_eq!(loaded.config().quantize_bits, 8);

@@ -9,7 +9,7 @@ use lemp_linalg::{kernels, TopK};
 use crate::algos::blsh_bucket::MinMatchTable;
 use crate::algos::{blsh_bucket, coord, incr, l2ap_bucket, length, ta_bucket, tree_bucket};
 use crate::algos::{MethodScratch, QueryCtx, Sink};
-use crate::bucket::Bucket;
+use crate::bucket::{Bucket, ProbeBuckets};
 use crate::variant::{LempVariant, ResolvedMethod};
 
 /// Options of one LEMP engine (builder-settable; defaults follow the
@@ -34,16 +34,19 @@ pub struct RunConfig {
     pub l2ap_topk_threshold: f64,
     /// Code width for the quantized bucket representation (`0` disables
     /// quantization; valid widths are `1..=16`). When enabled, `warm`
-    /// trains per-bucket codebooks and the tuner decides per bucket
-    /// whether the LUT scan or the variant's exact scan wins.
+    /// trains one PQ codebook for the engine (per shard in a sharded
+    /// engine), encodes every bucket against it, and the tuner decides per
+    /// bucket whether the LUT scan or the variant's exact scan wins.
     pub quantize_bits: u8,
-    /// Skips the tuner's LUT-vs-exact timing race and routes every bucket
-    /// with trained codebooks through the quantized scan. The per-bucket
-    /// decision in `tune_quant` is measured wall-clock, so which buckets
-    /// flip to QUANT varies with machine load; forcing it makes runs that
-    /// must exercise the LUT kernel (benchmarks, smoke tests) reproducible.
-    /// No effect unless `quantize_bits > 0`; exactness is unaffected either
-    /// way (candidates are always re-verified against full precision).
+    /// Skips the tuner's LUT-vs-exact timing race and routes every encoded
+    /// bucket through the quantized scan. The decision in `tune_quant` is
+    /// measured wall-clock (each bucket's scan against its incumbent, with
+    /// the query's LUT build charged once per sampled query), so which
+    /// buckets flip to QUANT varies with machine load; forcing it makes
+    /// runs that must exercise the LUT kernels (benchmarks, smoke tests)
+    /// reproducible. No effect unless `quantize_bits > 0`; exactness is
+    /// unaffected either way (candidates are always re-verified against
+    /// full precision).
     pub quantize_force: bool,
 }
 
@@ -87,34 +90,43 @@ pub(crate) fn needs_build(bucket: &Bucket, method: ResolvedMethod) -> bool {
     }
 }
 
-/// Lazily builds the index `method` needs (Sec. 4.2: "LEMP constructs
-/// indexes lazily on first use"). `l2ap_t` is the L2AP index threshold for
-/// this bucket; `bucket_seed` derandomizes BLSH per bucket.
+/// Lazily builds the index `method` needs on bucket `b` (Sec. 4.2: "LEMP
+/// constructs indexes lazily on first use"). `l2ap_t` is the L2AP index
+/// threshold for this bucket; BLSH hyperplanes are derandomized per bucket
+/// ([`crate::runner::cfg_seed`]). QUANT encodes the bucket against the
+/// engine codebook, training that first if this is the first QUANT bucket
+/// (each counts as one build).
 pub(crate) fn ensure_for(
-    bucket: &mut Bucket,
+    buckets: &mut ProbeBuckets,
+    b: usize,
     method: ResolvedMethod,
     l2ap_t: f64,
     cfg: &RunConfig,
-    bucket_seed: u64,
     clock: &mut BuildClock,
 ) {
-    if !needs_build(bucket, method) {
+    if !needs_build(&buckets.buckets()[b], method) {
         return;
     }
     let start = Instant::now();
-    let built = match method {
-        ResolvedMethod::Length => false,
-        ResolvedMethod::Coord(_) => bucket.ensure_coord(),
-        ResolvedMethod::Incr(_) => bucket.ensure_incr(),
-        ResolvedMethod::Ta => bucket.ensure_ta(),
-        ResolvedMethod::Tree => bucket.ensure_tree(cfg.tree_base),
-        ResolvedMethod::L2ap => bucket.ensure_l2ap(l2ap_t),
-        ResolvedMethod::Blsh => bucket.ensure_blsh(cfg.blsh_bits, bucket_seed),
-        ResolvedMethod::Quant => bucket.ensure_quant(cfg.quantize_bits, bucket_seed),
+    let built = if method == ResolvedMethod::Quant {
+        buckets.ensure_quant(b, cfg.quantize_bits)
+    } else {
+        let bucket = &mut buckets.buckets_mut()[b];
+        u64::from(match method {
+            ResolvedMethod::Length | ResolvedMethod::Quant => false,
+            ResolvedMethod::Coord(_) => bucket.ensure_coord(),
+            ResolvedMethod::Incr(_) => bucket.ensure_incr(),
+            ResolvedMethod::Ta => bucket.ensure_ta(),
+            ResolvedMethod::Tree => bucket.ensure_tree(cfg.tree_base),
+            ResolvedMethod::L2ap => bucket.ensure_l2ap(l2ap_t),
+            ResolvedMethod::Blsh => {
+                bucket.ensure_blsh(cfg.blsh_bits, crate::runner::cfg_seed(cfg, b))
+            }
+        })
     };
-    if built {
+    if built > 0 {
         clock.ns += start.elapsed().as_nanos() as u64;
-        clock.built += 1;
+        clock.built += built;
     }
 }
 
@@ -167,8 +179,9 @@ pub(crate) fn run_method(
             0
         }
         ResolvedMethod::Quant => {
-            let q = bucket.indexes.quant.as_ref().expect("QUANT codebooks trained");
-            crate::quant::run(ctx, bucket, q, &mut scratch.lut, &mut scratch.qscores, sink);
+            let q = bucket.indexes.quant.as_ref().expect("QUANT codes encoded");
+            let lut = scratch.lut.get(q.codebook(), ctx.dir);
+            crate::quant::run(ctx, bucket, q, lut, &mut scratch.qscores, sink);
             0
         }
     }
@@ -249,7 +262,6 @@ mod tests {
     #[test]
     fn ensure_for_builds_each_kind_once() {
         let mut pb = one_bucket(80, 1);
-        let bucket = &mut pb.buckets_mut()[0];
         let cfg = RunConfig::default();
         let mut clock = BuildClock::default();
         for method in [
@@ -261,24 +273,36 @@ mod tests {
             ResolvedMethod::L2ap,
             ResolvedMethod::Blsh,
         ] {
-            ensure_for(bucket, method, 0.5, &cfg, 7, &mut clock);
-            ensure_for(bucket, method, 0.5, &cfg, 7, &mut clock); // idempotent
+            ensure_for(&mut pb, 0, method, 0.5, &cfg, &mut clock);
+            ensure_for(&mut pb, 0, method, 0.5, &cfg, &mut clock); // idempotent
         }
         assert_eq!(clock.built, 6); // everything except Length
         assert!(clock.ns > 0);
-        assert!(!needs_build(bucket, ResolvedMethod::Tree));
+        assert!(!needs_build(&pb.buckets()[0], ResolvedMethod::Tree));
     }
 
     #[test]
     fn ensure_for_trains_quant_codebooks_once() {
-        let mut pb = one_bucket(80, 2);
-        let bucket = &mut pb.buckets_mut()[0];
+        let store = GeneratorConfig::gaussian(90, 6, 0.3).generate(2);
+        // A cache cap of exactly 30 vectors: three buckets of 30.
+        let policy =
+            BucketPolicy { min_bucket: 30, cache_bytes: 30 * (32 * 6 + 12), ..Default::default() };
+        let mut pb = ProbeBuckets::build(&store, &policy);
+        assert_eq!(pb.bucket_count(), 3);
         let cfg = RunConfig { quantize_bits: 8, ..Default::default() };
         let mut clock = BuildClock::default();
-        ensure_for(bucket, ResolvedMethod::Quant, 0.5, &cfg, 7, &mut clock);
-        ensure_for(bucket, ResolvedMethod::Quant, 0.5, &cfg, 7, &mut clock); // idempotent
-        assert_eq!(clock.built, 1);
-        assert!(!needs_build(bucket, ResolvedMethod::Quant));
+        ensure_for(&mut pb, 0, ResolvedMethod::Quant, 0.5, &cfg, &mut clock);
+        ensure_for(&mut pb, 0, ResolvedMethod::Quant, 0.5, &cfg, &mut clock); // idempotent
+        assert_eq!(clock.built, 2, "codebook + the first bucket's codes");
+        ensure_for(&mut pb, 2, ResolvedMethod::Quant, 0.5, &cfg, &mut clock);
+        assert_eq!(clock.built, 3, "later buckets only encode");
+        let codebook = pb.codebook().expect("engine codebook trained");
+        for b in [0, 2] {
+            let q = pb.buckets()[b].indexes.quant.as_ref().unwrap();
+            assert!(std::sync::Arc::ptr_eq(q.codebook(), codebook));
+            assert!(!needs_build(&pb.buckets()[b], ResolvedMethod::Quant));
+        }
+        assert!(needs_build(&pb.buckets()[1], ResolvedMethod::Quant));
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use plan::{
     BucketAlgo, Engine, ExecOptions, PlanSegment, Planner, QueryKind, QueryPlan, QueryRequest,
     QueryResponse, QueryRows, Scratch,
 };
-pub use quant::{QuantCodes, QuantizedBucket};
+pub use quant::{PqCodebook, QuantCodes, QuantizedBucket, QueryLut};
 pub use runner::{AboveThetaOutput, MethodMix, RunStats, TopKOutput};
 pub use shard::{ShardPolicy, ShardScratch, ShardedLemp};
 pub use stream::column_top_k;
@@ -278,9 +278,10 @@ impl LempBuilder {
 
     /// Enables quantized probe buckets with `bits`-wide PQ codes
     /// (1..=16; 0 disables, the default). When enabled, [`Lemp::warm`]
-    /// trains per-bucket subspace codebooks and the tuner may route bucket
-    /// scans through the LUT kernel; every candidate is re-verified against
-    /// the full-precision vectors, so results stay exact.
+    /// trains one subspace codebook for the engine, encodes every bucket
+    /// against it, and the tuner may route bucket scans through the LUT
+    /// kernel; every candidate is re-verified against the full-precision
+    /// vectors, so results stay exact.
     ///
     /// # Panics
     /// If `bits > 16` — use the CLI/service layers for non-panicking
@@ -291,8 +292,8 @@ impl LempBuilder {
         self
     }
 
-    /// Forces the quantized LUT scan on every bucket with trained
-    /// codebooks instead of letting the tuner time LUT vs exact (see
+    /// Forces the quantized LUT scan on every encoded bucket instead of
+    /// letting the tuner time LUT vs exact (see
     /// [`RunConfig::quantize_force`]). No effect without
     /// [`quantize`](Self::quantize).
     pub fn quantize_force(mut self, force: bool) -> Self {
@@ -335,8 +336,9 @@ impl Lemp {
     }
 
     /// Probe-side memory residency: full-precision bytes vs quantized
-    /// bytes across all buckets (the quantized side is 0 until codebooks
-    /// are trained — i.e. before a warm-up with quantization enabled).
+    /// bytes (the engine codebook plus every bucket's codes; 0 until the
+    /// codebook is trained — i.e. before a warm-up with quantization
+    /// enabled).
     pub fn memory_usage(&self) -> MemoryUsage {
         self.buckets.memory_usage()
     }

@@ -20,31 +20,46 @@
 //!                                            lazy anyway, Sec. 4.2)
 //! ```
 //!
-//! # The quantized section (version 2)
+//! # The quantized section (version 3)
 //!
 //! Engines built with quantization ([`crate::LempBuilder::quantize`])
-//! persist under the `LEMPENG2` magic: the byte-identical version-1
+//! persist under the `LEMPENG3` magic: the byte-identical version-1
 //! layout followed by one **quantized section** —
 //!
 //! ```text
 //! quantize_bits                             u8, 1..=16
-//! per bucket: present flag (u8);            0 = codebooks not trained yet
-//!   if present: bits (u8), sub_dim, k,      (re-train at the next warm)
-//!   m·k·sub_dim codebook doubles,
-//!   m·n packed codes (u8 per code ≤ 8 bits, u16 above)
+//! codebook flag (u8)                        0 = not trained yet (trains
+//!                                           at the next warm)
+//!   if present: bits (u8), sub_dim, k,      the engine's one codebook,
+//!   m·4·k centroid doubles                  column-wise: subspace s,
+//!                                           coordinate d, centroid c at
+//!                                           (s·4 + d)·k + c; rows past the
+//!                                           subspace width are zero
+//! per bucket: present flag (u8);            0 = not encoded yet
+//!   if present: m·n packed codes            (u8 per code ≤ 8 bits, u16
+//!                                           above), subspace-major
 //! ```
+//!
+//! A bucket's distortion bound `eps_b` is not stored: loading validates
+//! the codebook's shape, finiteness and padding
+//! ([`crate::quant::PqCodebook::from_parts`]) and every code index, and
+//! **recomputes** each `eps_b` from the full-precision directions
+//! ([`crate::quant::QuantizedBucket::from_codes`]) — a tampered image can
+//! corrupt the codebook but never the exactness contract.
 //!
 //! **Backward-compat rule**: an engine with quantization *off* writes the
 //! `LEMPENG1` bytes unchanged — old readers keep working and images diff
-//! clean — while readers accept both magics, so legacy images load into
-//! quantization-aware builds (and re-train codebooks at the next warm if
-//! quantization is then enabled). The same rule applies to the dynamic
-//! format (`LEMPDYN1`/`LEMPDYN2`, see [`crate::dynamic`]); sharded
-//! manifests inherit it through their embedded per-shard dynamic images.
-//! Loading validates every shape and code index of the section
-//! ([`crate::quant::QuantizedBucket::from_parts`]) and **recomputes** the
-//! distortion bound `eps` from the full-precision directions — a tampered
-//! image can corrupt the codebooks but never the exactness contract.
+//! clean — while readers accept every magic, so legacy images load into
+//! quantization-aware builds. Version-2 images (`LEMPENG2`: per bucket a
+//! present flag, then `bits`, `sub_dim`, `k`, `m·k·sub_dim` codebook
+//! doubles and `m·n` codes) are validated as strictly as ever — a
+//! corrupted section is still a [`PersistError::Format`] — and their
+//! per-bucket codebooks are dropped: one engine codebook trains at load
+//! and every bucket that carried codes is re-encoded against it, so the
+//! query path never trains. The same rule applies to the
+//! dynamic format (`LEMPDYN1`/`LEMPDYN2`/`LEMPDYN3`, see
+//! [`crate::dynamic`]); sharded manifests inherit it through their
+//! embedded per-shard dynamic images.
 //!
 //! All integers are little-endian `u64` (`u32` for ids), floats are IEEE
 //! `f64` bits, so files are portable across platforms. Loading validates
@@ -89,7 +104,7 @@
 //!
 //! # The shared codec
 //!
-//! Every on-disk format in the LEMP family — `LEMPENG1`, `LEMPSHD1`/
+//! Every on-disk format in the LEMP family — `LEMPENG1`–`3`, `LEMPSHD1`/
 //! `LEMPSHD2`, `LEMPDYN1` and the `lemp-store` durability files
 //! (`LEMPWAL1` write-ahead segments, their `CHECKPOINT` marker, and the
 //! `LEMPSHM1` root manifest) — is built from the same four primitives:
@@ -118,12 +133,15 @@ use lemp_linalg::VectorStore;
 
 use crate::bucket::{Bucket, ProbeBuckets};
 use crate::exec::RunConfig;
-use crate::quant::{QuantCodes, QuantizedBucket, MAX_QUANT_BITS};
+use std::sync::Arc;
+
+use crate::quant::{PqCodebook, QuantCodes, QuantizedBucket, MAX_QUANT_BITS, SUB_DIM};
 use crate::variant::LempVariant;
 use crate::Lemp;
 
 const MAGIC: &[u8; 8] = b"LEMPENG1";
 const MAGIC2: &[u8; 8] = b"LEMPENG2";
+const MAGIC3: &[u8; 8] = b"LEMPENG3";
 
 /// Errors raised by engine persistence.
 #[derive(Debug)]
@@ -350,27 +368,43 @@ pub(crate) fn read_bucket_section<R: Read>(r: &mut R) -> Result<ProbeBuckets, Pe
     Ok(ProbeBuckets::from_parts(dim, total, buckets))
 }
 
-/// Writes the quantized section (see the module docs): the configured code
-/// width, then per bucket a present flag and — when codebooks are trained —
-/// the full quantized representation. `eps` is deliberately *not* stored;
-/// readers recompute it from the directions.
+/// Which quantized section follows an image's bucket section, by magic
+/// (version-1 images carry none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QuantSection {
+    /// Version 2 (legacy): per-bucket codebooks.
+    PerBucket,
+    /// Version 3: one engine codebook, per-bucket codes.
+    Shared,
+}
+
+/// Writes the version-3 quantized section (see the module docs): the
+/// configured code width, the engine codebook when trained, then per bucket
+/// a present flag and its packed codes. Distortion bounds are deliberately
+/// *not* stored; readers recompute them from the directions.
 pub(crate) fn write_quant_section<W: Write>(
     w: &mut W,
     quantize_bits: u8,
     buckets: &ProbeBuckets,
 ) -> Result<(), PersistError> {
     w.write_all(&[quantize_bits])?;
+    match buckets.codebook() {
+        None => w.write_all(&[0u8])?,
+        Some(cb) => {
+            w.write_all(&[1u8, cb.bits()])?;
+            write_u64(w, cb.sub_dim() as u64)?;
+            write_u64(w, cb.k() as u64)?;
+            for &x in cb.centroids() {
+                write_f64(w, x)?;
+            }
+        }
+    }
     for bucket in buckets.buckets() {
         let Some(q) = &bucket.indexes.quant else {
             w.write_all(&[0u8])?;
             continue;
         };
-        w.write_all(&[1u8, q.bits()])?;
-        write_u64(w, q.sub_dim() as u64)?;
-        write_u64(w, q.k() as u64)?;
-        for &x in q.codebooks() {
-            write_f64(w, x)?;
-        }
+        w.write_all(&[1u8])?;
         match q.codes() {
             QuantCodes::U8(codes) => w.write_all(codes)?,
             QuantCodes::U16(codes) => {
@@ -383,97 +417,180 @@ pub(crate) fn write_quant_section<W: Write>(
     Ok(())
 }
 
-/// Reads and validates a quantized section written by
-/// [`write_quant_section`], attaching the reconstructed
-/// [`QuantizedBucket`]s to `buckets` and returning the configured code
-/// width. All shape/code validation and the `eps` recomputation happen in
-/// [`QuantizedBucket::from_parts`] — a corrupted section becomes a
-/// [`PersistError::Format`], never a panic or an oversized allocation.
+/// Readers never pre-allocate more than this many elements from a size
+/// field; longer runs grow as their bytes actually arrive.
+const CAP_HINT: usize = 1 << 16;
+
+fn read_byte<R: Read>(r: &mut R, what: impl FnOnce() -> String) -> Result<u8, PersistError> {
+    let mut byte = [0u8; 1];
+    r.read_exact(&mut byte).map_err(|_| PersistError::Format(format!("truncated {}", what())))?;
+    Ok(byte[0])
+}
+
+/// A present flag: 0 or 1, anything else is corruption.
+fn read_flag<R: Read>(r: &mut R, what: &str) -> Result<bool, PersistError> {
+    match read_byte(r, || what.to_string())? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(PersistError::Format(format!("{what} {other} is neither 0 nor 1"))),
+    }
+}
+
+fn read_bits<R: Read>(r: &mut R, what: &str) -> Result<u8, PersistError> {
+    let bits = read_byte(r, || what.to_string())?;
+    if bits == 0 || bits > MAX_QUANT_BITS {
+        return Err(PersistError::Format(format!("{what} {bits} outside 1..=16")));
+    }
+    Ok(bits)
+}
+
+/// `count` packed codes of the given width (one byte up to 8 bits, two
+/// little-endian bytes above).
+fn read_codes<R: Read>(
+    r: &mut R,
+    bits: u8,
+    count: usize,
+    b: usize,
+) -> Result<QuantCodes, PersistError> {
+    let truncated = || PersistError::Format(format!("bucket {b}: truncated quant codes"));
+    if bits <= 8 {
+        let mut v = Vec::with_capacity(count.min(CAP_HINT));
+        let mut byte = [0u8; 1];
+        for _ in 0..count {
+            r.read_exact(&mut byte).map_err(|_| truncated())?;
+            v.push(byte[0]);
+        }
+        Ok(QuantCodes::U8(v))
+    } else {
+        let mut v = Vec::with_capacity(count.min(CAP_HINT));
+        let mut two = [0u8; 2];
+        for _ in 0..count {
+            r.read_exact(&mut two).map_err(|_| truncated())?;
+            v.push(u16::from_le_bytes(two));
+        }
+        Ok(QuantCodes::U16(v))
+    }
+}
+
+fn read_doubles<R: Read>(r: &mut R, count: usize, what: &str) -> Result<Vec<f64>, PersistError> {
+    let mut v = Vec::with_capacity(count.min(CAP_HINT));
+    for _ in 0..count {
+        v.push(read_f64(r, what)?);
+    }
+    Ok(v)
+}
+
+/// Reads and validates the quantized section `format` names, returning
+/// the configured code width. A version-3 section attaches the engine
+/// codebook and every bucket's codes (shape/code validation and the `eps`
+/// recomputation happen in [`PqCodebook::from_parts`] and
+/// [`QuantizedBucket::from_codes`]). A legacy version-2 section is
+/// validated just as strictly, then its per-bucket codebooks are dropped:
+/// one engine codebook trains here, at load, and every bucket that carried
+/// codes is re-encoded against it — so the query path finds the same
+/// buckets encoded as before and never trains.
+/// A corrupted section becomes a [`PersistError::Format`], never a panic
+/// or an oversized allocation.
 pub(crate) fn read_quant_section<R: Read>(
     r: &mut R,
     buckets: &mut ProbeBuckets,
+    format: QuantSection,
 ) -> Result<u8, PersistError> {
-    const CAP_HINT: usize = 1 << 16;
-    let mut byte = [0u8; 1];
-    r.read_exact(&mut byte)
-        .map_err(|_| PersistError::Format("truncated while reading quantize_bits".into()))?;
-    let quantize_bits = byte[0];
-    if quantize_bits == 0 || quantize_bits > MAX_QUANT_BITS {
-        return Err(PersistError::Format(format!("quantize_bits {quantize_bits} outside 1..=16")));
-    }
-    for (b, bucket) in buckets.buckets_vec_mut().iter_mut().enumerate() {
-        r.read_exact(&mut byte)
-            .map_err(|_| PersistError::Format(format!("bucket {b}: truncated quant flag")))?;
-        match byte[0] {
-            0 => continue,
-            1 => {}
-            other => {
-                return Err(PersistError::Format(format!(
-                    "bucket {b}: quant flag {other} is neither 0 nor 1"
-                )))
+    let quantize_bits = read_bits(r, "quantize_bits")?;
+    match format {
+        QuantSection::PerBucket => {
+            for b in skip_legacy_quant_buckets(r, buckets)? {
+                buckets.ensure_quant(b, quantize_bits);
             }
         }
-        r.read_exact(&mut byte)
-            .map_err(|_| PersistError::Format(format!("bucket {b}: truncated quant bits")))?;
-        let bits = byte[0];
-        if bits == 0 || bits > MAX_QUANT_BITS {
-            return Err(PersistError::Format(format!(
-                "bucket {b}: quant bits {bits} outside 1..=16"
-            )));
-        }
-        let sub_dim = read_u64(r, "quant sub_dim")? as usize;
-        let k = read_u64(r, "quant k")? as usize;
+        QuantSection::Shared => read_shared_quant(r, buckets)?,
+    }
+    Ok(quantize_bits)
+}
+
+fn read_shared_quant<R: Read>(r: &mut R, buckets: &mut ProbeBuckets) -> Result<(), PersistError> {
+    let dim = buckets.dim();
+    let codebook = if read_flag(r, "codebook flag")? {
+        let bits = read_bits(r, "codebook bits")?;
+        let sub_dim = read_u64(r, "codebook sub_dim")? as usize;
+        let k = read_u64(r, "codebook k")? as usize;
         // Shape sanity *before* sizing any read: a corrupted sub_dim or k
         // must not drive a huge (or zero-divisor) element count.
-        let n = bucket.len();
-        let dim = bucket.dirs.dim();
-        if sub_dim == 0 || sub_dim > dim {
+        if dim == 0 || sub_dim != SUB_DIM.min(dim) {
+            return Err(PersistError::Format(format!(
+                "codebook sub_dim {sub_dim} invalid for dim {dim}"
+            )));
+        }
+        if k == 0 || k > (1usize << bits) {
+            return Err(PersistError::Format(format!("codebook k {k} invalid for bits {bits}")));
+        }
+        let count = dim
+            .div_ceil(sub_dim)
+            .checked_mul(SUB_DIM * k)
+            .ok_or_else(|| PersistError::Format("codebook size overflows".into()))?;
+        let centroids = read_doubles(r, count, "codebook centroid")?;
+        let cb = PqCodebook::from_parts(bits, sub_dim, k, dim, centroids)
+            .map_err(PersistError::Format)?;
+        Some(Arc::new(cb))
+    } else {
+        None
+    };
+    for (b, bucket) in buckets.buckets_vec_mut().iter_mut().enumerate() {
+        if !read_flag(r, &format!("bucket {b}: quant flag"))? {
+            continue;
+        }
+        let Some(cb) = &codebook else {
+            return Err(PersistError::Format(format!("bucket {b}: codes without a codebook")));
+        };
+        let count = cb.subspaces() * bucket.len();
+        let codes = read_codes(r, cb.bits(), count, b)?;
+        let q = QuantizedBucket::from_codes(Arc::clone(cb), codes, &bucket.dirs)
+            .map_err(|e| PersistError::Format(format!("bucket {b}: {e}")))?;
+        bucket.indexes.quant = Some(q);
+    }
+    buckets.set_codebook(codebook);
+    Ok(())
+}
+
+/// Validates a legacy version-2 section — per bucket a present flag and,
+/// when present, `bits`, `sub_dim`, `k`, `m·k·sub_dim` codebook doubles and
+/// `m·n` codes — with the checks that format always had, and discards it.
+/// Returns the buckets that carried codes.
+fn skip_legacy_quant_buckets<R: Read>(
+    r: &mut R,
+    buckets: &ProbeBuckets,
+) -> Result<Vec<usize>, PersistError> {
+    let mut present = Vec::new();
+    for (b, bucket) in buckets.buckets().iter().enumerate() {
+        if !read_flag(r, &format!("bucket {b}: quant flag"))? {
+            continue;
+        }
+        let bits = read_bits(r, &format!("bucket {b}: quant bits"))?;
+        let sub_dim = read_u64(r, "quant sub_dim")? as usize;
+        let k = read_u64(r, "quant k")? as usize;
+        let (n, dim) = (bucket.len(), bucket.dirs.dim());
+        if sub_dim == 0 || sub_dim != SUB_DIM.min(dim) {
             return Err(PersistError::Format(format!(
                 "bucket {b}: quant sub_dim {sub_dim} invalid for dim {dim}"
             )));
         }
-        if k == 0 || k > n {
+        if k == 0 || k > n || k > (1usize << bits) {
             return Err(PersistError::Format(format!(
                 "bucket {b}: quant k {k} invalid for {n} probes"
             )));
         }
         let m = dim.div_ceil(sub_dim);
-        let cb_len = m
-            .checked_mul(k)
-            .and_then(|x| x.checked_mul(sub_dim))
-            .ok_or_else(|| PersistError::Format(format!("bucket {b}: codebook size overflows")))?;
-        let mut codebooks = Vec::with_capacity(cb_len.min(CAP_HINT));
-        for _ in 0..cb_len {
-            codebooks.push(read_f64(r, "quant codebook")?);
+        let codebook = read_doubles(r, m * k * sub_dim, "quant codebook")?;
+        if codebook.iter().any(|v| !v.is_finite()) {
+            return Err(PersistError::Format(format!("bucket {b}: non-finite codebook value")));
         }
-        let code_count = m
-            .checked_mul(n)
-            .ok_or_else(|| PersistError::Format(format!("bucket {b}: code count overflows")))?;
-        let codes = if bits <= 8 {
-            let mut v = Vec::with_capacity(code_count.min(CAP_HINT));
-            for _ in 0..code_count {
-                r.read_exact(&mut byte).map_err(|_| {
-                    PersistError::Format(format!("bucket {b}: truncated quant codes"))
-                })?;
-                v.push(byte[0]);
-            }
-            QuantCodes::U8(v)
-        } else {
-            let mut v = Vec::with_capacity(code_count.min(CAP_HINT));
-            let mut two = [0u8; 2];
-            for _ in 0..code_count {
-                r.read_exact(&mut two).map_err(|_| {
-                    PersistError::Format(format!("bucket {b}: truncated quant codes"))
-                })?;
-                v.push(u16::from_le_bytes(two));
-            }
-            QuantCodes::U16(v)
-        };
-        let q = QuantizedBucket::from_parts(bits, sub_dim, k, codebooks, codes, &bucket.dirs)
-            .map_err(|e| PersistError::Format(format!("bucket {b}: {e}")))?;
-        bucket.indexes.quant = Some(q);
+        let codes = read_codes(r, bits, m * n, b)?;
+        if let Some(bad) = (0..codes.len()).map(|i| codes.get(i)).find(|&c| c >= k) {
+            return Err(PersistError::Format(format!("bucket {b}: quant code {bad} ≥ k {k}")));
+        }
+        present.push(b);
     }
-    Ok(quantize_bits)
+    Ok(present)
 }
 
 /// Reports trailing bytes after a complete image as a format error.
@@ -499,9 +616,9 @@ impl Lemp {
     pub fn write_to<W: Write>(&self, writer: W) -> Result<(), PersistError> {
         let mut w = BufWriter::new(writer);
         // Backward-compat rule: quantization off → byte-identical LEMPENG1
-        // image; on → LEMPENG2 with the quantized section appended.
+        // image; on → LEMPENG3 with the quantized section appended.
         let quantized = self.config.quantize_bits > 0;
-        w.write_all(if quantized { MAGIC2 } else { MAGIC })?;
+        w.write_all(if quantized { MAGIC3 } else { MAGIC })?;
         write_config(&mut w, &self.config)?;
         write_bucket_section(&mut w, &self.buckets)?;
         if quantized {
@@ -531,14 +648,15 @@ impl Lemp {
         r.read_exact(&mut magic)
             .map_err(|_| PersistError::Format("file too short for magic".into()))?;
         let quantized = match &magic {
-            m if m == MAGIC => false,
-            m if m == MAGIC2 => true,
+            m if m == MAGIC => None,
+            m if m == MAGIC2 => Some(QuantSection::PerBucket),
+            m if m == MAGIC3 => Some(QuantSection::Shared),
             _ => return Err(PersistError::Format(format!("bad magic {magic:?}"))),
         };
         let mut config = read_config(&mut r)?;
         let mut buckets = read_bucket_section(&mut r)?;
-        if quantized {
-            config.quantize_bits = read_quant_section(&mut r, &mut buckets)?;
+        if let Some(format) = quantized {
+            config.quantize_bits = read_quant_section(&mut r, &mut buckets, format)?;
         }
         expect_eof(&mut r)?;
         Ok(Lemp::from_parts(buckets, config))
@@ -674,11 +792,13 @@ mod tests {
         );
         let mut buf = Vec::new();
         original.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], b"LEMPENG2");
+        assert_eq!(&buf[..8], b"LEMPENG3");
         let loaded = Lemp::read_from(&buf[..]).unwrap();
         assert_eq!(loaded.config().quantize_bits, 8);
+        assert!(loaded.buckets().codebook().is_some());
+        assert_eq!(loaded.buckets().codebook(), original.buckets().codebook());
         for (a, b) in loaded.buckets().buckets().iter().zip(original.buckets().buckets()) {
-            assert_eq!(a.indexes.quant, b.indexes.quant, "codebooks/codes/eps must round-trip");
+            assert_eq!(a.indexes.quant, b.indexes.quant, "codebook/codes/eps must round-trip");
         }
         assert!(loaded.memory_usage().quantized_bytes > 0);
     }
@@ -732,7 +852,7 @@ mod tests {
         // value is a legal centroid) but the recomputed eps still covers
         // the damage, so answers stay exact.
         let mut bent = buf.clone();
-        let cb_at = legacy_len + 1 + 2 + 16; // flag, bits, sub_dim, k of bucket 0
+        let cb_at = legacy_len + 1 + 2 + 16; // width, codebook flag, bits, sub_dim, k
         bent[cb_at..cb_at + 8].copy_from_slice(&7.5f64.to_le_bytes());
         let mut loaded = Lemp::read_from(&bent[..]).unwrap();
         loaded.warm(&q, crate::WarmGoal::Above(1.0));

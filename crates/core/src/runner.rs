@@ -6,12 +6,17 @@
 //! through). Queries are sorted by decreasing length, so the inner loop
 //! *stops* at the first pruned query — all shorter queries have larger local
 //! thresholds — and the outer loop stops at the first bucket every query
-//! prunes — all later buckets hold shorter vectors.
+//! prunes — all later buckets hold shorter vectors. Buckets routed to the
+//! quantized scan are the exception: they share one codebook, so they run
+//! in a query-major pass after the others, and each query builds its
+//! lookup table once instead of once per bucket.
 //!
 //! **Row-Top-k** processes one query at a time: it seeds the running bound
 //! `θ′` with the k longest probes, then sweeps buckets in decreasing-length
 //! order running the Above-θ′ machinery per bucket, tightening `θ′` from
 //! the top-k heap after every bucket, and stops at the first pruned bucket.
+//! A query builds its quantized lookup table at the first QUANT bucket it
+//! reaches and reuses it for the rest.
 //! `‖q‖` is fixed to 1 (the query's length does not affect its top-k set).
 //!
 //! Both drivers have a multi-threaded mode (an extension over the paper):
@@ -44,6 +49,10 @@ pub struct RunStats {
     /// Which bucket method served how many (query, bucket) pairs — shows
     /// the Sec. 4.4 tuner's decisions (e.g. the LENGTH share of a LI run).
     pub method_mix: MethodMix,
+    /// Query lookup tables built for the quantized scan: at most one per
+    /// query that reaches a QUANT bucket (per shard in a sharded engine),
+    /// however many QUANT buckets it visits.
+    pub lut_builds: u64,
 }
 
 impl RunStats {
@@ -54,6 +63,7 @@ impl RunStats {
         self.bucket_count = self.bucket_count.max(other.bucket_count);
         self.indexes_built += other.indexes_built;
         self.method_mix.merge(&other.method_mix);
+        self.lut_builds += other.lut_builds;
     }
 }
 
@@ -190,48 +200,94 @@ pub(crate) fn max_bucket_len(buckets: &ProbeBuckets) -> usize {
     buckets.buckets().iter().map(Bucket::len).max().unwrap_or(0)
 }
 
-/// Processes one bucket against a range `[q_lo, q_hi)` of the sorted query
-/// batch (Above-θ inner loop). The bucket's index must already be built.
-#[allow(clippy::too_many_arguments)]
-fn process_bucket_above(
-    bucket: &Bucket,
-    batch: &QueryBatch,
-    queries: &VectorStore,
+/// The read-only inputs every Above-θ (query, bucket) pair shares.
+struct AboveCtx<'a> {
+    batch: &'a QueryBatch,
+    queries: &'a VectorStore,
     theta: f64,
-    tol: &[f64],
-    q_lo: usize,
-    q_hi: usize,
+    tol: &'a [f64],
     variant: LempVariant,
-    tuned: &TunedParams,
-    blsh_table: Option<&MinMatchTable>,
-    scratch: &mut MethodScratch,
-    sink: &mut Sink,
-    entries: &mut Vec<Entry>,
-    counters: &mut RetrievalCounters,
-    mix: &mut MethodMix,
-) {
-    scratch.ensure(bucket.len());
-    // `qi` indexes four parallel per-query arrays; a range loop is clearer
-    // than zipping them.
-    #[allow(clippy::needless_range_loop)]
-    for qi in q_lo..q_hi {
-        let qlen = batch.lengths[qi];
-        let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
-        let method = resolve(variant, tuned, th_b);
-        mix.record(method);
+    blsh_table: Option<&'a MinMatchTable>,
+}
+
+/// A worker's mutable Above-θ state: scratch, candidate sink and outputs.
+struct AboveOut<'a> {
+    scratch: &'a mut MethodScratch,
+    sink: Sink,
+    entries: &'a mut Vec<Entry>,
+    counters: &'a mut RetrievalCounters,
+    mix: MethodMix,
+}
+
+impl AboveCtx<'_> {
+    /// Serves sorted query `qi` against `bucket` (Alg. 1 lines 10–16): pick
+    /// the method for the query's local threshold, run it, verify. The
+    /// bucket's index must already be built. Forced inline: it is the
+    /// whole body of Above-θ's per-bucket query loop, its hottest loop.
+    #[inline(always)]
+    fn pair(&self, bucket: &Bucket, tuned: &TunedParams, qi: usize, out: &mut AboveOut<'_>) {
+        let qlen = self.batch.lengths[qi];
+        let th_b = region_threshold(self.theta, qlen, bucket.max_len, bucket.min_len);
+        let method = resolve(self.variant, tuned, th_b);
+        out.mix.record(method);
         let ctx = QueryCtx {
-            dir: batch.dirs.vector(qi),
+            dir: self.batch.dirs.vector(qi),
             len: qlen,
-            theta,
-            theta_over_len: tol[qi],
+            theta: self.theta,
+            theta_over_len: self.tol[qi],
             local_threshold: th_b,
-            scaled: queries.vector(batch.ids[qi] as usize),
+            scaled: self.queries.vector(self.batch.ids[qi] as usize),
         };
-        sink.clear();
-        let internal = run_method(method, &ctx, bucket, blsh_table, scratch, sink);
-        let (vdots, results) = verify_above(bucket, &ctx, sink, batch.ids[qi], entries);
-        counters.candidates += internal + vdots;
-        counters.results += results;
+        out.sink.clear();
+        let internal =
+            run_method(method, &ctx, bucket, self.blsh_table, out.scratch, &mut out.sink);
+        let (vdots, results) =
+            verify_above(bucket, &ctx, &out.sink, self.batch.ids[qi], out.entries);
+        out.counters.candidates += internal + vdots;
+        out.counters.results += results;
+    }
+
+    /// Serves the sorted queries `[lo, hi)` against the first `reachable`
+    /// buckets. Buckets are the outer loop ("cache friendly": the small
+    /// bucket stays resident while the queries stream through), except for
+    /// QUANT-routed buckets: those run in one query-major pass afterwards,
+    /// so each query builds its lookup table once, at its first QUANT
+    /// bucket, and reuses it for the rest — their packed codes are small
+    /// enough that the bucket-outer cache argument does not apply.
+    fn range(
+        &self,
+        buckets: &[Bucket],
+        per_bucket: &[TunedParams],
+        lo: usize,
+        hi: usize,
+        out: &mut AboveOut<'_>,
+    ) {
+        let mut quant: Vec<(&Bucket, &TunedParams, usize)> = Vec::new();
+        for (bucket, params) in buckets.iter().zip(per_bucket) {
+            let hi_b = unpruned_prefix(self.batch, self.theta, bucket.max_len).min(hi);
+            if lo >= hi_b {
+                continue;
+            }
+            if bucket.max_len <= 0.0 {
+                emit_zero_bucket(bucket, self.batch, lo, hi_b, out.entries, out.counters);
+            } else if params.quant {
+                quant.push((bucket, params, hi_b));
+            } else {
+                out.scratch.ensure(bucket.len());
+                for qi in lo..hi_b {
+                    self.pair(bucket, params, qi, out);
+                }
+            }
+        }
+        for qi in lo..hi {
+            out.scratch.lut.invalidate();
+            // Buckets get shorter, so a query pruned for one QUANT bucket
+            // is pruned for every later one.
+            for &(bucket, params, _) in quant.iter().take_while(|q| qi < q.2) {
+                out.scratch.ensure(bucket.len());
+                self.pair(bucket, params, qi, out);
+            }
+        }
     }
 }
 
@@ -282,22 +338,22 @@ pub(crate) fn above_theta(
     let nbuckets = buckets.bucket_count();
     let mut reachable = 0usize;
     for b in 0..nbuckets {
-        let bucket = &mut buckets.buckets_mut()[b];
-        let unpruned = unpruned_prefix(&batch, theta, bucket.max_len);
+        let max_len = buckets.buckets()[b].max_len;
+        let unpruned = unpruned_prefix(&batch, theta, max_len);
         if unpruned == 0 {
             break; // later buckets are shorter: pruned for every query
         }
         reachable = b + 1;
-        if bucket.max_len > 0.0 {
-            let max_th_b = local_threshold(theta, batch.lengths[unpruned - 1], bucket.max_len);
+        if max_len > 0.0 {
+            let max_th_b = local_threshold(theta, batch.lengths[unpruned - 1], max_len);
             let method = ensure_method(cfg.variant, &tuning.per_bucket[b], max_th_b);
-            let l2ap_t = local_threshold(theta, batch.max_len, bucket.max_len);
-            ensure_for(bucket, method, l2ap_t, cfg, cfg_seed(cfg, b), &mut clock);
+            let l2ap_t = local_threshold(theta, batch.max_len, max_len);
+            ensure_for(buckets, b, method, l2ap_t, cfg, &mut clock);
         }
     }
     let build_ns_retrieval = clock.ns - tune_build_ns;
 
-    let mix = above_theta_body(
+    let (mix, lut_builds) = above_theta_body(
         buckets,
         &batch,
         queries,
@@ -324,6 +380,7 @@ pub(crate) fn above_theta(
             bucket_count: nbuckets,
             indexes_built: clock.built,
             method_mix: mix,
+            lut_builds,
         },
     }
 }
@@ -331,6 +388,7 @@ pub(crate) fn above_theta(
 /// The retrieval phase of Above-θ over buckets whose indexes are already
 /// built (serial with the caller's scratch, or partitioned across scoped
 /// threads). Shared by the lazy `&mut` driver and the warmed `&self` path.
+/// Returns the method mix and the lookup tables built.
 #[allow(clippy::too_many_arguments)]
 fn above_theta_body(
     buckets: &ProbeBuckets,
@@ -345,100 +403,59 @@ fn above_theta_body(
     scratch: &mut MethodScratch,
     entries: &mut Vec<Entry>,
     counters: &mut RetrievalCounters,
-) -> MethodMix {
-    let mut mix = MethodMix::default();
+) -> (MethodMix, u64) {
+    let ctx = AboveCtx { batch, queries, theta, tol, variant: cfg.variant, blsh_table };
+    let reached = &buckets.buckets()[..reachable];
     if cfg.threads <= 1 {
-        let mut sink = Sink::default();
-        for (bucket, params) in buckets.buckets()[..reachable].iter().zip(per_bucket) {
-            let unpruned = unpruned_prefix(batch, theta, bucket.max_len);
-            if bucket.max_len <= 0.0 {
-                emit_zero_bucket(bucket, batch, 0, unpruned, entries, counters);
-                continue;
-            }
-            process_bucket_above(
-                bucket,
-                batch,
-                queries,
-                theta,
-                tol,
-                0,
-                unpruned,
-                cfg.variant,
-                params,
-                blsh_table,
-                scratch,
-                &mut sink,
-                entries,
-                counters,
-                &mut mix,
-            );
-        }
-    } else {
-        let nthreads = cfg.threads.min(batch.len().max(1));
-        let chunk = batch.len().div_ceil(nthreads);
-        let results: Vec<(Vec<Entry>, RetrievalCounters, MethodMix)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..nthreads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let lo = t * chunk;
-                            let hi = ((t + 1) * chunk).min(batch.len());
-                            let mut scratch = MethodScratch::new(max_bucket_len(buckets));
-                            let mut sink = Sink::default();
-                            let mut entries = Vec::new();
-                            let mut counters = RetrievalCounters::default();
-                            let mut local_mix = MethodMix::default();
-                            for (bucket, params) in
-                                buckets.buckets()[..reachable].iter().zip(per_bucket)
-                            {
-                                let unpruned = unpruned_prefix(batch, theta, bucket.max_len);
-                                let hi_b = unpruned.min(hi);
-                                if lo >= hi_b {
-                                    continue;
-                                }
-                                if bucket.max_len <= 0.0 {
-                                    emit_zero_bucket(
-                                        bucket,
-                                        batch,
-                                        lo,
-                                        hi_b,
-                                        &mut entries,
-                                        &mut counters,
-                                    );
-                                    continue;
-                                }
-                                process_bucket_above(
-                                    bucket,
-                                    batch,
-                                    queries,
-                                    theta,
-                                    tol,
-                                    lo,
-                                    hi_b,
-                                    cfg.variant,
-                                    params,
-                                    blsh_table,
-                                    &mut scratch,
-                                    &mut sink,
-                                    &mut entries,
-                                    &mut counters,
-                                    &mut local_mix,
-                                );
-                            }
-                            (entries, counters, local_mix)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-        for (mut e, c, m) in results {
-            entries.append(&mut e);
-            counters.candidates += c.candidates;
-            counters.results += c.results;
-            mix.merge(&m);
-        }
+        let mut out = AboveOut {
+            scratch,
+            sink: Sink::default(),
+            entries,
+            counters,
+            mix: MethodMix::default(),
+        };
+        let builds = out.scratch.lut.builds();
+        ctx.range(reached, per_bucket, 0, batch.len(), &mut out);
+        return (out.mix, out.scratch.lut.builds() - builds);
     }
-    mix
+    let nthreads = cfg.threads.min(batch.len().max(1));
+    let chunk = batch.len().div_ceil(nthreads);
+    let ctx = &ctx;
+    let results: Vec<(Vec<Entry>, RetrievalCounters, MethodMix, u64)> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..nthreads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let lo = t * chunk;
+                        let hi = ((t + 1) * chunk).min(batch.len());
+                        let mut scratch = MethodScratch::new(max_bucket_len(buckets));
+                        let mut entries = Vec::new();
+                        let mut counters = RetrievalCounters::default();
+                        let mut out = AboveOut {
+                            scratch: &mut scratch,
+                            sink: Sink::default(),
+                            entries: &mut entries,
+                            counters: &mut counters,
+                            mix: MethodMix::default(),
+                        };
+                        ctx.range(reached, per_bucket, lo, hi, &mut out);
+                        let mix = out.mix;
+                        (entries, counters, mix, scratch.lut.builds())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        });
+    let mut mix = MethodMix::default();
+    let mut lut_builds = 0;
+    for (mut e, c, m, builds) in results {
+        entries.append(&mut e);
+        counters.candidates += c.candidates;
+        counters.results += c.results;
+        mix.merge(&m);
+        lut_builds += builds;
+    }
+    (mix, lut_builds)
 }
 
 /// Above-θ over a **warmed** engine: all reachable indexes are assumed
@@ -469,7 +486,7 @@ pub(crate) fn above_theta_prepared(
         }
         reachable = b + 1;
     }
-    let mix = above_theta_body(
+    let (mix, lut_builds) = above_theta_body(
         buckets,
         &batch,
         queries,
@@ -492,6 +509,7 @@ pub(crate) fn above_theta_prepared(
             bucket_count: buckets.bucket_count(),
             indexes_built: 0,
             method_mix: mix,
+            lut_builds,
         },
     }
 }
@@ -503,33 +521,28 @@ pub(crate) fn above_theta_prepared(
 /// ([`crate::BucketPolicy::max_bucket`]), so this stays within the paper's
 /// cache model.
 pub(crate) fn warm_bucket(
-    bucket: &mut Bucket,
+    buckets: &mut ProbeBuckets,
+    b: usize,
     params: &TunedParams,
     cfg: &RunConfig,
-    bucket_seed: u64,
     clock: &mut BuildClock,
 ) {
-    if bucket.max_len <= 0.0 {
+    if buckets.buckets()[b].max_len <= 0.0 {
         return;
     }
-    let method = ensure_method(cfg.variant, params, 1.0);
-    ensure_for(bucket, method, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
+    let t = cfg.l2ap_topk_threshold;
+    ensure_for(buckets, b, ensure_method(cfg.variant, params, 1.0), t, cfg, clock);
     if cfg.quantize_bits > 0 {
-        // Quantized codebooks train at warm regardless of the tuner's
-        // per-bucket pick, so reloads/plan refreshes never train on the
-        // query path and `/stats` residency is observable right away.
-        ensure_for(bucket, ResolvedMethod::Quant, cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
+        // Quantized codes are encoded at warm regardless of the tuner's
+        // per-bucket pick (against the engine codebook, which trains at the
+        // first bucket and is reused by every later one and by edits), so
+        // reloads/plan refreshes never train on the query path and
+        // `/stats` residency is observable right away.
+        ensure_for(buckets, b, ResolvedMethod::Quant, t, cfg, clock);
     }
-    ensure_for(bucket, ResolvedMethod::Coord(1), cfg.l2ap_topk_threshold, cfg, bucket_seed, clock);
-    if bucket.dirs.dim() > 1 {
-        ensure_for(
-            bucket,
-            ResolvedMethod::Incr(2),
-            cfg.l2ap_topk_threshold,
-            cfg,
-            bucket_seed,
-            clock,
-        );
+    ensure_for(buckets, b, ResolvedMethod::Coord(1), t, cfg, clock);
+    if buckets.dim() > 1 {
+        ensure_for(buckets, b, ResolvedMethod::Incr(2), t, cfg, clock);
     }
 }
 
@@ -541,8 +554,8 @@ pub(crate) fn prebuild_all(
     per_bucket: &[TunedParams],
     clock: &mut BuildClock,
 ) {
-    for (b, (bucket, params)) in buckets.buckets_mut().iter_mut().zip(per_bucket).enumerate() {
-        warm_bucket(bucket, params, cfg, cfg_seed(cfg, b), clock);
+    for (b, params) in per_bucket.iter().enumerate().take(buckets.bucket_count()) {
+        warm_bucket(buckets, b, params, cfg, clock);
     }
 }
 
@@ -589,6 +602,8 @@ fn topk_one_query(
     top.clear();
     seed_counts.clear();
     seed_counts.resize(buckets.len(), 0);
+    // A new query: its lookup table is built at its first QUANT bucket.
+    scratch.lut.invalidate();
     // Warm-up: the k longest probes seed θ′ (Sec. 4.5).
     let mut need = k;
     'seed: for (b, bucket) in buckets.iter().enumerate() {
@@ -669,6 +684,8 @@ pub(crate) fn row_top_k_floor(
     let mut lists: TopKLists = vec![Vec::new(); queries.len()];
     let mut counters = RetrievalCounters { queries: queries.len() as u64, ..Default::default() };
     let mut mix = MethodMix::default();
+    let lut_before = scratch.lut.builds();
+    let mut lut_builds = 0;
 
     if k > 0 && !batch.is_empty() && buckets.bucket_count() > 0 {
         if cfg.threads <= 1 {
@@ -686,25 +703,18 @@ pub(crate) fn row_top_k_floor(
                 &mut counters,
                 &mut mix,
             );
+            lut_builds = scratch.lut.builds() - lut_before;
         } else {
             // Parallel mode pre-builds every bucket's index (shared read
             // access), trading the lazy-construction saving for parallelism.
             for b in 0..buckets.bucket_count() {
-                let bucket = &mut buckets.buckets_mut()[b];
-                if bucket.max_len <= 0.0 {
+                if buckets.buckets()[b].max_len <= 0.0 {
                     continue;
                 }
                 let method = ensure_method(cfg.variant, &tuning.per_bucket[b], 1.0);
-                ensure_for(
-                    bucket,
-                    method,
-                    cfg.l2ap_topk_threshold,
-                    cfg,
-                    cfg_seed(cfg, b),
-                    &mut clock,
-                );
+                ensure_for(buckets, b, method, cfg.l2ap_topk_threshold, cfg, &mut clock);
             }
-            parallel_topk(
+            lut_builds = parallel_topk(
                 buckets,
                 &batch,
                 k,
@@ -733,6 +743,7 @@ pub(crate) fn row_top_k_floor(
             bucket_count: buckets.bucket_count(),
             indexes_built: clock.built,
             method_mix: mix,
+            lut_builds,
         },
     }
 }
@@ -763,11 +774,11 @@ fn serial_topk(
         let floor_scaled = floor_scaled_for(floor, batch.lengths[qi]);
         let theta_seed = tuner::seed_threshold(buckets, dir, k).max(floor_scaled);
         for b in 0..buckets.bucket_count() {
-            let bucket = &mut buckets.buckets_mut()[b];
-            if bucket.max_len <= 0.0 {
+            let max_len = buckets.buckets()[b].max_len;
+            if max_len <= 0.0 {
                 continue;
             }
-            let th_b = local_threshold(theta_seed, 1.0, bucket.max_len);
+            let th_b = local_threshold(theta_seed, 1.0, max_len);
             if th_b > 1.0 + 1e-12 {
                 break;
             }
@@ -775,7 +786,7 @@ fn serial_topk(
             // threshold seen at run time may exceed the seed-time value;
             // prepare for the largest one (1.0) the sweep can pose.
             let method = ensure_method(cfg.variant, &tuning.per_bucket[b], 1.0);
-            ensure_for(bucket, method, cfg.l2ap_topk_threshold, cfg, cfg_seed(cfg, b), clock);
+            ensure_for(buckets, b, method, cfg.l2ap_topk_threshold, cfg, clock);
         }
         topk_range(
             buckets.buckets(),
@@ -877,9 +888,11 @@ pub(crate) fn row_top_k_prepared(
     let mut lists: TopKLists = vec![Vec::new(); queries.len()];
     let mut counters = RetrievalCounters { queries: queries.len() as u64, ..Default::default() };
     let mut mix = MethodMix::default();
+    let mut lut_builds = 0;
 
     if k > 0 && !batch.is_empty() && buckets.bucket_count() > 0 {
         if cfg.threads <= 1 {
+            let lut_before = scratch.lut.builds();
             let mut sink = Sink::default();
             let mut top = TopK::new(k);
             let mut seed_counts: Vec<usize> = Vec::new();
@@ -901,8 +914,9 @@ pub(crate) fn row_top_k_prepared(
                 &mut mix,
                 |qid, list| lists[qid as usize] = list,
             );
+            lut_builds = scratch.lut.builds() - lut_before;
         } else {
-            parallel_topk(
+            lut_builds = parallel_topk(
                 buckets,
                 &batch,
                 k,
@@ -927,13 +941,17 @@ pub(crate) fn row_top_k_prepared(
             bucket_count: buckets.bucket_count(),
             indexes_built: 0,
             method_mix: mix,
+            lut_builds,
         },
     }
 }
 
-/// One worker's output: `(query id, top-k list)` pairs plus its counters.
-type WorkerTopK = (Vec<(u32, Vec<lemp_linalg::ScoredItem>)>, RetrievalCounters, MethodMix);
+/// One worker's output: `(query id, top-k list)` pairs plus its counters
+/// and lookup-table builds.
+type WorkerTopK = (Vec<(u32, Vec<lemp_linalg::ScoredItem>)>, RetrievalCounters, MethodMix, u64);
 
+/// Row-Top-k with the sorted batch partitioned across scoped threads;
+/// returns the lookup tables the workers built.
 #[allow(clippy::too_many_arguments)]
 fn parallel_topk(
     buckets: &ProbeBuckets,
@@ -946,7 +964,7 @@ fn parallel_topk(
     lists: &mut TopKLists,
     counters: &mut RetrievalCounters,
     mix: &mut MethodMix,
-) {
+) -> u64 {
     let nthreads = cfg.threads.min(batch.len().max(1));
     let chunk = batch.len().div_ceil(nthreads);
     let results: Vec<WorkerTopK> = std::thread::scope(|scope| {
@@ -980,19 +998,22 @@ fn parallel_topk(
                         &mut local_mix,
                         |qid, list| out.push((qid, list)),
                     );
-                    (out, local_counters, local_mix)
+                    (out, local_counters, local_mix, scratch.lut.builds())
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
-    for (chunk_lists, c, m) in results {
+    let mut lut_builds = 0;
+    for (chunk_lists, c, m, builds) in results {
         for (qid, list) in chunk_lists {
             lists[qid as usize] = list;
         }
         counters.candidates += c.candidates;
         mix.merge(&m);
+        lut_builds += builds;
     }
+    lut_builds
 }
 
 #[cfg(test)]

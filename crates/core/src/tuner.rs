@@ -124,15 +124,15 @@ fn tune_phi_tb(
     // Reused measurement rows: θ_b, LENGTH time, per-φ coordinate time.
     let mut rows: Vec<(f64, u64, [u64; MAX_PHI])> = Vec::new();
     for b in 0..nbuckets {
-        let bucket = &mut buckets.buckets_mut()[b];
-        scratch.ensure(bucket.len());
-        rows.clear();
-        let max_phi = MAX_PHI.min(bucket.dirs.dim());
+        let max_phi = MAX_PHI.min(buckets.dim());
         // The coordinate methods need their index; build it now (counted as
         // preprocessing, like the paper's "maximum indexing time").
         for phi in 1..=max_phi {
-            ensure_for(bucket, coord_method(incr, phi), 1e-3, cfg, 0, clock);
+            ensure_for(buckets, b, coord_method(incr, phi), 1e-3, cfg, clock);
         }
+        let bucket = &buckets.buckets()[b];
+        scratch.ensure(bucket.len());
+        rows.clear();
         for (s, &qi) in positions.iter().enumerate() {
             let theta = sample_theta[s];
             let qlen = sample_len[s];
@@ -162,12 +162,17 @@ fn tune_phi_tb(
     Tuning { per_bucket, tune_ns: start.elapsed().as_nanos() as u64 }
 }
 
-/// Per-bucket quantization decision: time the quantized LUT scan (including
-/// the verification its candidate set would cost) against the variant's own
-/// resolved method on the sampled queries, and flip `quant` on wherever the
-/// compressed scan is at least as fast — a tie favors quantization since it
-/// also shrinks residency. Codebooks are trained here (preprocessing, like
-/// the coordinate indexes); exactness never depends on this choice.
+/// The quantization decision. Every bucket is first encoded against the
+/// engine codebook (trained here at the first bucket — preprocessing, like
+/// the coordinate indexes). Then, per sampled query, the query's lookup
+/// table is built and timed **once**, and each bucket the query reaches
+/// times its LUT scan (including the verification its candidate set would
+/// cost) against the variant's own resolved method. A bucket whose scan is
+/// at least as fast is a QUANT candidate — a tie favors quantization since
+/// it also shrinks residency — and the candidates flip to QUANT together
+/// only if their summed saving pays for the table builds, which a query
+/// pays once however many QUANT buckets it visits. Exactness never depends
+/// on this choice.
 #[allow(clippy::too_many_arguments)]
 fn tune_quant(
     buckets: &mut ProbeBuckets,
@@ -178,57 +183,53 @@ fn tune_quant(
     clock: &mut BuildClock,
     per_bucket: &mut [TunedParams],
 ) {
+    let nbuckets = buckets.bucket_count().min(per_bucket.len());
+    for b in 0..nbuckets {
+        ensure_for(buckets, b, ResolvedMethod::Quant, 1e-3, cfg, clock);
+    }
+    let encoded: Vec<bool> =
+        buckets.buckets().iter().map(|bucket| bucket.indexes.quant.is_some()).collect();
+    if cfg.quantize_force {
+        // Deterministic override: skip the timing race entirely.
+        for (params, &enc) in per_bucket.iter_mut().zip(&encoded) {
+            params.quant = enc;
+        }
+        return;
+    }
+    let Some(codebook) = buckets.codebook().cloned() else { return };
     let effective = cfg.sample_size.min(batch.len() / 20 + 4);
     let positions = batch.sample_positions(effective);
-    let mut sample_theta = Vec::with_capacity(positions.len());
-    let mut sample_len = Vec::with_capacity(positions.len());
-    for &qi in &positions {
-        match goal {
-            TuneGoal::Above(theta) => {
-                sample_theta.push(*theta);
-                sample_len.push(batch.lengths[qi]);
-            }
-            TuneGoal::TopK(k) => {
-                sample_theta.push(seed_threshold(buckets, batch.dirs.vector(qi), *k));
-                sample_len.push(1.0);
-            }
-        }
-    }
     let blsh_table = if cfg.variant == LempVariant::Blsh {
         Some(MinMatchTable::new(cfg.blsh_bits, cfg.blsh_eps))
     } else {
         None
     };
     let mut sink = Sink::default();
-    for (b, params) in per_bucket.iter_mut().enumerate().take(buckets.bucket_count()) {
-        let seed = crate::runner::cfg_seed(cfg, b);
-        let bucket = &mut buckets.buckets_mut()[b];
-        if bucket.max_len <= 0.0 {
-            continue;
-        }
-        ensure_for(bucket, ResolvedMethod::Quant, 1e-3, cfg, seed, clock);
-        if bucket.indexes.quant.is_none() {
-            continue;
-        }
-        if cfg.quantize_force {
-            // Deterministic override: skip the timing race entirely.
-            params.quant = true;
-            continue;
-        }
-        scratch.ensure(bucket.len());
-        let mut t_quant = 0u128;
-        let mut t_base = 0u128;
-        let mut measured = false;
-        for (s, &qi) in positions.iter().enumerate() {
-            let theta = sample_theta[s];
-            let qlen = sample_len[s];
-            if local_threshold(theta, qlen, bucket.max_len) > 1.0 {
+    let mut t_lut = 0u128;
+    let mut t_scan = vec![0u128; nbuckets];
+    let mut t_base = vec![0u128; nbuckets];
+    let mut measured = vec![false; nbuckets];
+    for &qi in &positions {
+        let (theta, qlen) = match goal {
+            TuneGoal::Above(theta) => (*theta, batch.lengths[qi]),
+            TuneGoal::TopK(k) => (seed_threshold(buckets, batch.dirs.vector(qi), *k), 1.0),
+        };
+        let dir = batch.dirs.vector(qi);
+        let start = Instant::now();
+        scratch.lut.invalidate();
+        std::hint::black_box(scratch.lut.get(&codebook, dir));
+        t_lut += start.elapsed().as_nanos();
+        for b in 0..nbuckets {
+            let max_len = buckets.buckets()[b].max_len;
+            if !encoded[b] || local_threshold(theta, qlen, max_len) > 1.0 {
                 continue;
             }
-            let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
-            let incumbent = resolve(cfg.variant, params, th_b);
-            ensure_for(bucket, incumbent, 1e-3, cfg, seed, clock);
-            let dir = batch.dirs.vector(qi);
+            let min_len = buckets.buckets()[b].min_len;
+            let th_b = region_threshold(theta, qlen, max_len, min_len);
+            let incumbent = resolve(cfg.variant, &per_bucket[b], th_b);
+            ensure_for(buckets, b, incumbent, 1e-3, cfg, clock);
+            let bucket = &buckets.buckets()[b];
+            scratch.ensure(bucket.len());
             let ctx = QueryCtx {
                 dir,
                 len: qlen,
@@ -237,14 +238,20 @@ fn tune_quant(
                 local_threshold: th_b,
                 scaled: dir, // tuning measures relative cost; q̄ scale suffices
             };
-            t_quant +=
+            t_scan[b] +=
                 time_method(ResolvedMethod::Quant, &ctx, bucket, None, scratch, &mut sink) as u128;
-            t_base += time_method(incumbent, &ctx, bucket, blsh_table.as_ref(), scratch, &mut sink)
-                as u128;
-            measured = true;
+            t_base[b] +=
+                time_method(incumbent, &ctx, bucket, blsh_table.as_ref(), scratch, &mut sink)
+                    as u128;
+            measured[b] = true;
         }
-        if measured && t_quant <= t_base {
-            params.quant = true;
+    }
+    let winners: Vec<usize> =
+        (0..nbuckets).filter(|&b| measured[b] && t_scan[b] <= t_base[b]).collect();
+    let saving: u128 = winners.iter().map(|&b| t_base[b] - t_scan[b]).sum();
+    if !winners.is_empty() && saving >= t_lut {
+        for b in winners {
+            per_bucket[b].quant = true;
         }
     }
 }
@@ -411,9 +418,27 @@ mod tests {
         let mut clock = BuildClock::default();
         let tuning = tune(&mut pb, &batch, &TuneGoal::Above(0.5), &cfg, &mut scratch, &mut clock);
         assert_eq!(tuning.per_bucket.len(), pb.bucket_count());
-        assert!(clock.built > 0, "codebooks train during tuning");
+        assert_eq!(
+            clock.built,
+            pb.bucket_count() as u64 + 1,
+            "one engine codebook plus every bucket's codes"
+        );
         assert!(pb.buckets().iter().all(|b| b.indexes.quant.is_some()));
         assert!(tuning.tune_ns > 0, "the quant pass counts as tuning time");
+        // The LUT is charged once per sampled query, not per bucket visit.
+        let sampled = batch.sample_positions(cfg.sample_size.min(batch.len() / 20 + 4)).len();
+        assert_eq!(scratch.lut.builds(), sampled as u64);
+    }
+
+    #[test]
+    fn forced_quantization_routes_every_encoded_bucket() {
+        let (mut pb, batch, _) = setup(400, 60, 1.0);
+        let cfg = RunConfig { quantize_bits: 4, quantize_force: true, ..RunConfig::default() };
+        let mut scratch = MethodScratch::new(512);
+        let mut clock = BuildClock::default();
+        let tuning = tune(&mut pb, &batch, &TuneGoal::TopK(5), &cfg, &mut scratch, &mut clock);
+        assert!(tuning.per_bucket.iter().all(|p| p.quant));
+        assert_eq!(scratch.lut.builds(), 0, "forcing skips the timing race");
     }
 
     #[test]

@@ -16,8 +16,8 @@ use lemp_baselines::types::{topk_equivalent, Entry, TopKLists};
 use lemp_baselines::Naive;
 use lemp_core::shard::ShardPolicy;
 use lemp_core::{
-    AdaptiveConfig, DynamicLemp, Engine, ExecOptions, Lemp, QueryKind, QueryRequest, QueryRows,
-    ShardedLemp, WarmGoal,
+    AdaptiveConfig, DynamicLemp, Engine, ExecOptions, Lemp, QueryKind, QueryRequest, QueryResponse,
+    QueryRows, ShardedLemp, WarmGoal,
 };
 use lemp_core::{BucketPolicy, RunConfig};
 use lemp_data::synthetic::GeneratorConfig;
@@ -206,70 +206,177 @@ fn every_kind_and_option_matches_the_classic_entry_points() {
     }
 }
 
+/// The edit script the dynamic quantized backend and its exact twin both
+/// run after warming: one probe longer than every other (a new bucket),
+/// one inside the length range, two removals.
+fn edit(engine: &mut DynamicLemp, p: &VectorStore) {
+    let mut long = p.vector(0).to_vec();
+    long.iter_mut().for_each(|x| *x *= 9.0);
+    engine.insert(&long).unwrap();
+    engine.insert(p.vector(7)).unwrap();
+    assert!(engine.remove(3));
+    assert!(engine.remove(150));
+}
+
+/// Asserts `response` equals `classic` bit-for-bit for `kind`.
+fn assert_matches_classic(
+    label: &str,
+    response: &QueryResponse,
+    kind: &QueryKind,
+    classic: &Classic,
+) {
+    match (&response.rows, kind) {
+        (QueryRows::Entries(entries), QueryKind::AboveTheta { .. }) => {
+            assert_eq!(canon(entries), classic.above, "{label}");
+        }
+        (QueryRows::Entries(entries), QueryKind::AbsAboveTheta { .. }) => {
+            assert_eq!(canon(entries), classic.abs, "{label}");
+        }
+        (QueryRows::Lists(lists), QueryKind::TopK { .. }) => {
+            assert!(topk_equivalent(lists, &classic.topk, 0.0), "{label}");
+        }
+        (QueryRows::Lists(lists), QueryKind::TopKWithFloor { .. }) => {
+            assert!(topk_equivalent(lists, &classic.floored, 0.0), "{label}");
+        }
+        _ => panic!("{label}: response shape does not match the kind"),
+    }
+}
+
+/// The three backends with forced `bits`-wide QUANT, warmed; the dynamic
+/// one has run [`edit`].
+fn forced_quant_engines(
+    q: &VectorStore,
+    p: &VectorStore,
+    bits: u8,
+) -> Vec<(&'static str, Box<dyn Engine>)> {
+    let mut single = Lemp::builder().sample_size(8).quantize(bits).quantize_force(true).build(p);
+    single.warm(q, WarmGoal::TopK(K));
+    assert!(
+        single.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
+        "warm must encode every bucket against the engine codebook"
+    );
+
+    let config = RunConfig {
+        sample_size: 8,
+        quantize_bits: bits,
+        quantize_force: true,
+        ..Default::default()
+    };
+    let mut dynamic = DynamicLemp::new(p, BucketPolicy::default(), config);
+    dynamic.warm(q, WarmGoal::TopK(K));
+    edit(&mut dynamic, p);
+    assert!(
+        dynamic.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
+        "edits must re-encode the touched buckets"
+    );
+
+    let mut sharded = ShardedLemp::builder()
+        .shards(3)
+        .policy(ShardPolicy::LengthBanded)
+        .sample_size(8)
+        .quantize(bits)
+        .quantize_force(true)
+        .build(p);
+    sharded.warm(q, WarmGoal::TopK(K));
+    vec![
+        ("Lemp+quant", Box::new(single) as Box<dyn Engine>),
+        ("DynamicLemp+quant", Box::new(dynamic)),
+        ("ShardedLemp+quant", Box::new(sharded)),
+    ]
+}
+
 #[test]
 fn quantized_engines_answer_bit_identically_for_every_kind_and_backend() {
-    // The quantized differential suite: engines carrying 8-bit probe codes
-    // must answer every QueryKind × ExecOptions combination **bit-for-bit**
-    // like their full-precision twins, on all three backends. The QUANT
-    // scan only prunes with the distortion-lifted bound; verification
-    // against the full-precision vectors restores exactness — any
-    // divergence here is a broken bound, not a tolerance issue.
+    // The quantized differential suite: engines whose every bucket is
+    // forced through the QUANT scan must answer every QueryKind ×
+    // ExecOptions combination **bit-for-bit** like their full-precision
+    // twins, on all three backends. The QUANT scan only prunes with the
+    // distortion-lifted bound; verification against the full-precision
+    // vectors restores exactness — any divergence here is a broken bound,
+    // not a tolerance issue. The 2-bit codebook (four centroids per
+    // subspace) leaves large distortion bounds, so the lifted bound is
+    // exercised far from the `eps ≈ 0` regime.
     let (q, p) = fixture();
     let floor = biting_floor(&q, &p);
 
     let mut single = Lemp::builder().sample_size(8).build(&p);
     single.warm(&q, WarmGoal::TopK(K));
     let exact_single = classic_for_single(&single, &q, floor);
+    let config = RunConfig { sample_size: 8, ..Default::default() };
+    let mut dynamic = DynamicLemp::new(&p, BucketPolicy::default(), config);
+    dynamic.warm(&q, WarmGoal::TopK(K));
+    edit(&mut dynamic, &p);
+    let exact_dynamic = classic_for_dynamic(&dynamic, &q, floor);
 
-    let mut quant_single = Lemp::builder().sample_size(8).quantize(8).build(&p);
-    quant_single.warm(&q, WarmGoal::TopK(K));
-    assert!(
-        quant_single.buckets().buckets().iter().all(|b| b.indexes.quant.is_some()),
-        "warm must train every bucket's codebooks"
-    );
-
-    let config = RunConfig { sample_size: 8, quantize_bits: 8, ..Default::default() };
-    let mut quant_dynamic = DynamicLemp::new(&p, BucketPolicy::default(), config);
-    quant_dynamic.warm(&q, WarmGoal::TopK(K));
-
-    let mut quant_sharded = ShardedLemp::builder()
-        .shards(3)
-        .policy(ShardPolicy::LengthBanded)
-        .sample_size(8)
-        .quantize(8)
-        .build(&p);
-    quant_sharded.warm(&q, WarmGoal::TopK(K));
-
-    let backends: Vec<(&str, Box<dyn Engine>)> = vec![
-        ("Lemp+quant", Box::new(quant_single)),
-        ("DynamicLemp+quant", Box::new(quant_dynamic)),
-        ("ShardedLemp+quant", Box::new(quant_sharded)),
-    ];
-    for (name, boxed) in backends {
-        let engine: &dyn Engine = boxed.as_ref();
-        let mut scratch = engine.query_scratch();
-        for kind in kinds(floor) {
-            for (opt_name, options) in option_sets() {
-                let request = QueryRequest { kind, options };
-                let plan = engine.plan(&request);
-                let response = engine.execute(&plan, &q, &mut scratch);
-                let label = format!("{name} / {} / {opt_name}", kind.name());
-                match (&response.rows, &kind) {
-                    (QueryRows::Entries(entries), QueryKind::AboveTheta { .. }) => {
-                        assert_eq!(canon(entries), exact_single.above, "{label}");
+    for bits in [8u8, 2] {
+        for (name, boxed) in forced_quant_engines(&q, &p, bits) {
+            let exact = if name.starts_with("Dynamic") { &exact_dynamic } else { &exact_single };
+            let engine: &dyn Engine = boxed.as_ref();
+            let mut scratch = engine.query_scratch();
+            for kind in kinds(floor) {
+                for (opt_name, options) in option_sets() {
+                    let request = QueryRequest { kind, options };
+                    let plan = engine.plan(&request);
+                    let response = engine.execute(&plan, &q, &mut scratch);
+                    let label = format!("{name} bits={bits} / {} / {opt_name}", kind.name());
+                    assert_matches_classic(&label, &response, &kind, exact);
+                    if options.adaptive.is_none() {
+                        assert!(response.stats.method_mix.quant > 0, "{label}: QUANT never ran");
                     }
-                    (QueryRows::Entries(entries), QueryKind::AbsAboveTheta { .. }) => {
-                        assert_eq!(canon(entries), exact_single.abs, "{label}");
-                    }
-                    (QueryRows::Lists(lists), QueryKind::TopK { .. }) => {
-                        assert!(topk_equivalent(lists, &exact_single.topk, 0.0), "{label}");
-                    }
-                    (QueryRows::Lists(lists), QueryKind::TopKWithFloor { .. }) => {
-                        assert!(topk_equivalent(lists, &exact_single.floored, 0.0), "{label}");
-                    }
-                    _ => panic!("{label}: response shape does not match the kind"),
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn two_bit_codebooks_leave_large_distortion_bounds() {
+    // Guards the premise of the 2-bit differential case above.
+    let (q, p) = fixture();
+    let mut engine = Lemp::builder().sample_size(8).quantize(2).quantize_force(true).build(&p);
+    engine.warm(&q, WarmGoal::TopK(K));
+    let codebook = engine.buckets().codebook().expect("codebook trained at warm");
+    assert_eq!(codebook.k(), 4);
+    let worst = engine
+        .buckets()
+        .buckets()
+        .iter()
+        .filter_map(|b| b.indexes.quant.as_ref())
+        .map(|qb| qb.eps())
+        .fold(0.0f64, f64::max);
+    assert!(worst > 0.2, "2-bit eps {worst} is too small to exercise the lifted bound");
+}
+
+#[test]
+fn execute_builds_at_most_one_lookup_table_per_query_per_shard() {
+    let (q, p) = fixture();
+    let floor = biting_floor(&q, &p);
+    for (name, boxed) in forced_quant_engines(&q, &p, 8) {
+        let engine: &dyn Engine = boxed.as_ref();
+        let mut scratch = engine.query_scratch();
+        let cap = (q.len() * engine.shard_count()) as u64;
+        for request in [
+            QueryRequest::top_k(K),
+            QueryRequest::top_k_with_floor(K, floor),
+            QueryRequest::above_theta(THETA),
+        ] {
+            let stats = engine.run(&request, &q, &mut scratch).stats;
+            let label = format!("{name} / {}", request.kind.name());
+            assert!(stats.method_mix.quant > 0, "{label}: QUANT never ran");
+            assert!(stats.lut_builds > 0, "{label}: QUANT ran without a lookup table");
+            assert!(
+                stats.lut_builds <= cap,
+                "{label}: {} tables for {} queries × {} shards",
+                stats.lut_builds,
+                q.len(),
+                engine.shard_count()
+            );
+            assert!(
+                stats.lut_builds < stats.method_mix.quant,
+                "{label}: one table per QUANT bucket visit ({} builds, {} visits)",
+                stats.lut_builds,
+                stats.method_mix.quant
+            );
         }
     }
 }

@@ -121,6 +121,31 @@ pub fn lut_scan_u16(codes: &[u16], lut: &[f64], n: usize, m: usize, k: usize, ou
     simd::lut_scan_u16(codes, lut, n, m, k, out);
 }
 
+/// Fills one subspace's row of a quantized lookup table from centroids
+/// stored column-wise (structure of arrays): `cols` holds four rows of
+/// `out.len()` doubles, row `d` carrying coordinate `d` of every centroid,
+/// and entry `c` becomes `(q₀·c₀ + q₁·c₁) + (q₂·c₂ + q₃·c₃)` — the
+/// pairwise reduction order of a 4-wide [`dot`], fixed so every build
+/// produces the same bits. Subspaces narrower than four coordinates pass
+/// zeros in `q` and zero rows in `cols`. The loop walks the four rows and
+/// `out` in lockstep, so the compiler vectorizes it (multiplies and adds
+/// stay separate: Rust never fuses them into FMAs).
+///
+/// # Panics
+/// If `cols.len() != 4 · out.len()`.
+#[inline]
+pub fn lut_fill4(q: &[f64; 4], cols: &[f64], out: &mut [f64]) {
+    let k = out.len();
+    assert_eq!(cols.len(), 4 * k, "lut_fill4: cols must hold 4 rows of out.len()");
+    let (c0, rest) = cols.split_at(k);
+    let (c1, rest) = rest.split_at(k);
+    let (c2, c3) = rest.split_at(k);
+    let (q0, q1, q2, q3) = (q[0], q[1], q[2], q[3]);
+    for ((((o, &a), &b), &c), &d) in out.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
+        *o = (q0 * a + q1 * b) + (q2 * c + q3 * d);
+    }
+}
+
 /// Cosine of the angle between `a` and `b`; 0 if either vector is zero.
 #[inline]
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
@@ -222,6 +247,27 @@ mod tests {
     fn lut_scan_rejects_misshapen_codes() {
         let mut out = [0.0; 2];
         lut_scan_u8(&[0u8; 3], &[0.0; 4], 2, 2, 2, &mut out);
+    }
+
+    #[test]
+    fn lut_fill4_matches_a_four_wide_dot_per_centroid() {
+        let q = [0.3, -1.25, 2.5, 0.125];
+        // Three centroids, column-wise: row d holds coordinate d of each.
+        let cols = [1.0, 2.0, -3.0, 0.5, 0.0, 4.0, -2.0, 1.5, 0.25, 3.0, -1.0, 0.75];
+        let mut out = [0.0; 3];
+        lut_fill4(&q, &cols, &mut out);
+        for c in 0..3 {
+            let p = [cols[c], cols[3 + c], cols[6 + c], cols[9 + c]];
+            let reference = (q[0] * p[0] + q[1] * p[1]) + (q[2] * p[2] + q[3] * p[3]);
+            assert_eq!(out[c].to_bits(), reference.to_bits(), "centroid {c}");
+            assert_eq!(out[c], dot(&q, &p), "centroid {c}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cols must hold")]
+    fn lut_fill4_rejects_misshapen_columns() {
+        lut_fill4(&[0.0; 4], &[0.0; 7], &mut [0.0; 2]);
     }
 
     #[test]

@@ -63,10 +63,18 @@ const TOPK_HEADER: &str = "query,rank,probe,score";
 pub fn write_entries_csv<W: Write>(writer: W, entries: &[Entry]) -> io::Result<()> {
     let mut w = io::BufWriter::new(writer);
     writeln!(w, "{ENTRY_HEADER}")?;
+    write_entry_rows(&mut w, entries)?;
+    w.flush()
+}
+
+/// Appends entries as header-less `query,probe,value` rows — the streaming
+/// form of [`write_entries_csv`]: write the header once with
+/// `write_entries_csv(&mut w, &[])`, then the rows block by block.
+pub fn write_entry_rows<W: Write>(mut w: W, entries: &[Entry]) -> io::Result<()> {
     for e in entries {
         writeln!(w, "{},{},{:?}", e.query, e.probe, e.value)?;
     }
-    w.flush()
+    Ok(())
 }
 
 /// Reads entries written by [`write_entries_csv`].
@@ -114,12 +122,24 @@ pub fn read_entries_csv<R: Read>(reader: R) -> Result<Vec<Entry>, ExportError> {
 pub fn write_topk_csv<W: Write>(writer: W, lists: &TopKLists) -> io::Result<()> {
     let mut w = io::BufWriter::new(writer);
     writeln!(w, "{TOPK_HEADER}")?;
-    for (query, list) in lists.iter().enumerate() {
+    write_topk_rows(&mut w, 0, lists)?;
+    w.flush()
+}
+
+/// Appends lists as header-less `query,rank,probe,score` rows, list `i`
+/// answering query `first_query + i` — the streaming form of
+/// [`write_topk_csv`] (header once via `write_topk_csv(&mut w, &vec![])`).
+pub fn write_topk_rows<W: Write>(
+    mut w: W,
+    first_query: usize,
+    lists: &[Vec<ScoredItem>],
+) -> io::Result<()> {
+    for (i, list) in lists.iter().enumerate() {
         for (rank, item) in list.iter().enumerate() {
-            writeln!(w, "{query},{},{},{:?}", rank + 1, item.id, item.score)?;
+            writeln!(w, "{},{},{},{:?}", first_query + i, rank + 1, item.id, item.score)?;
         }
     }
-    w.flush()
+    Ok(())
 }
 
 /// Reads lists written by [`write_topk_csv`].

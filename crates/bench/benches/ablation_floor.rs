@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemp_bench::workload::Workload;
-use lemp_core::{Lemp, LempVariant};
+use lemp_core::{Engine, Lemp, LempVariant, QueryRequest, WarmGoal};
 use lemp_data::datasets::Dataset;
 
 fn bench_floor(c: &mut Criterion) {
@@ -31,20 +31,21 @@ fn bench_floor(c: &mut Criterion) {
             ("tight-p90", kth[kth.len() * 9 / 10]),
         ];
 
+        // Both arms query one warmed engine, so only retrieval is timed.
+        engine.warm(&w.queries, WarmGoal::TopK(k));
+        let mut scratch = engine.query_scratch();
         let mut group = c.benchmark_group(format!("ablation_floor/{}", w.name));
         for (label, floor) in floors {
+            let floored = engine.plan(&QueryRequest::top_k_with_floor(k, floor));
             group.bench_function(BenchmarkId::from_parameter(format!("prune/{label}")), |b| {
-                b.iter(|| {
-                    let mut engine = Lemp::builder().variant(LempVariant::LI).build(&w.probes);
-                    engine.row_top_k_with_floor(&w.queries, k, floor)
-                });
+                b.iter(|| engine.execute(&floored, &w.queries, &mut scratch));
             });
+            let plain = engine.plan(&QueryRequest::top_k(k));
             group.bench_function(
                 BenchmarkId::from_parameter(format!("post-filter/{label}")),
                 |b| {
                     b.iter(|| {
-                        let mut engine = Lemp::builder().variant(LempVariant::LI).build(&w.probes);
-                        let mut out = engine.row_top_k(&w.queries, k);
+                        let mut out = engine.execute(&plain, &w.queries, &mut scratch).into_top_k();
                         for list in &mut out.lists {
                             list.retain(|i| i.score >= floor);
                         }

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lemp_bench::workload::Workload;
 use lemp_core::dynamic::DynamicLemp;
-use lemp_core::{BucketPolicy, RunConfig};
+use lemp_core::{BucketPolicy, Engine, QueryRequest, RunConfig, WarmGoal};
 use lemp_data::datasets::Dataset;
 
 fn churn(engine: &mut DynamicLemp, rounds: usize) {
@@ -53,16 +53,20 @@ fn bench_query_after_churn(c: &mut Criterion) {
     group.bench_function("fragmented", |b| {
         let mut engine = DynamicLemp::new(&w.probes, BucketPolicy::default(), RunConfig::default());
         churn(&mut engine, 500);
-        let _ = engine.row_top_k(&w.queries, 10); // warm indexes
-        b.iter(|| engine.row_top_k(&w.queries, 10));
+        engine.warm(&w.queries, WarmGoal::TopK(10));
+        let plan = engine.plan(&QueryRequest::top_k(10));
+        let mut scratch = engine.query_scratch();
+        b.iter(|| engine.execute(&plan, &w.queries, &mut scratch));
     });
 
     group.bench_function("compacted", |b| {
         let mut engine = DynamicLemp::new(&w.probes, BucketPolicy::default(), RunConfig::default());
         churn(&mut engine, 500);
         engine.rebuild();
-        let _ = engine.row_top_k(&w.queries, 10);
-        b.iter(|| engine.row_top_k(&w.queries, 10));
+        engine.warm(&w.queries, WarmGoal::TopK(10));
+        let plan = engine.plan(&QueryRequest::top_k(10));
+        let mut scratch = engine.query_scratch();
+        b.iter(|| engine.execute(&plan, &w.queries, &mut scratch));
     });
 
     group.finish();

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lemp_bench::workload::Workload;
 use lemp_core::shard::ShardPolicy;
-use lemp_core::{ShardedLemp, WarmGoal};
+use lemp_core::{Engine, QueryRequest, ShardedLemp, WarmGoal};
 use lemp_data::datasets::Dataset;
 
 fn bench_shards(c: &mut Criterion) {
@@ -26,8 +26,9 @@ fn bench_shards(c: &mut Criterion) {
                     .threads(shards)
                     .build(&w.probes);
                 engine.warm(&w.queries, WarmGoal::TopK(10));
-                let mut scratch = engine.make_scratch();
-                b.iter(|| engine.row_top_k_shared(&w.queries, 10, &mut scratch));
+                let plan = engine.plan(&QueryRequest::top_k(10));
+                let mut scratch = engine.query_scratch();
+                b.iter(|| engine.execute(&plan, &w.queries, &mut scratch));
             });
         }
         group.finish();

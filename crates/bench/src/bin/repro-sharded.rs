@@ -14,7 +14,7 @@ use lemp_baselines::Naive;
 use lemp_bench::report::{preamble, print_table, Args};
 use lemp_bench::workload::Workload;
 use lemp_core::shard::ShardPolicy;
-use lemp_core::{Lemp, ShardedLemp, WarmGoal};
+use lemp_core::{Engine, Lemp, QueryRequest, ShardedLemp, WarmGoal};
 use lemp_data::datasets::Dataset;
 
 fn main() {
@@ -37,11 +37,13 @@ fn main() {
 
         let mut single = Lemp::builder().build(&w.probes);
         single.warm(&w.queries, WarmGoal::TopK(k));
-        let mut scratch = single.make_scratch();
+        let mut scratch = single.query_scratch();
         let single_start = Instant::now();
-        let single_topk = single.row_top_k_shared(&w.queries, k, &mut scratch);
+        let single_topk =
+            single.run(&QueryRequest::top_k(k), &w.queries, &mut scratch).into_top_k();
         let single_s = single_start.elapsed().as_secs_f64();
-        let single_above = single.above_theta_shared(&w.queries, theta, &mut scratch);
+        let single_above =
+            single.run(&QueryRequest::above_theta(theta), &w.queries, &mut scratch).into_above();
 
         for policy in [ShardPolicy::RoundRobin, ShardPolicy::LengthBanded] {
             let label = match policy {
@@ -54,11 +56,13 @@ fn main() {
                 .threads(shards)
                 .build(&w.probes);
             engine.warm(&w.queries, WarmGoal::TopK(k));
-            let mut scratch = engine.make_scratch();
+            let mut scratch = engine.query_scratch();
             let sharded_start = Instant::now();
-            let topk = engine.row_top_k_shared(&w.queries, k, &mut scratch);
+            let topk = engine.run(&QueryRequest::top_k(k), &w.queries, &mut scratch).into_top_k();
             let sharded_s = sharded_start.elapsed().as_secs_f64();
-            let above = engine.above_theta_shared(&w.queries, theta, &mut scratch);
+            let above = engine
+                .run(&QueryRequest::above_theta(theta), &w.queries, &mut scratch)
+                .into_above();
 
             let mut verdict = "ok";
             if !topk_equivalent(&topk.lists, &single_topk.lists, 0.0) {

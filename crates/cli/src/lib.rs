@@ -33,7 +33,7 @@ use lemp_baselines::Naive;
 use lemp_core::shard::{is_sharded_image, ShardPolicy};
 use lemp_core::{
     AdaptiveConfig, BanditPolicy, Engine, Lemp, LempVariant, QueryKind, QueryRequest, QueryRows,
-    ShardedLemp, WarmGoal,
+    RunStats, ShardedLemp, WarmGoal,
 };
 use lemp_data::datasets::Dataset;
 use lemp_data::{io as mio, mm};
@@ -454,44 +454,54 @@ fn retrieve(args: &[String], above: bool) -> Result<(), String> {
             }
         }
     }
-    let mut scratch = engine.query_scratch();
-    let response = engine.execute(&plan, &queries, &mut scratch);
-
+    // Stream the result: a chunked plan hands over one block at a time (a
+    // monolithic plan is one block), so peak memory is bounded by the
+    // chunk. Blocks are contiguous query ranges in ascending order, so
+    // sorting each block's entries keeps the output identical to a
+    // monolithic run.
     let mut out = sink(args)?;
-    let stats = &response.stats;
-    match response.rows {
-        QueryRows::Entries(mut entries) => {
-            entries.sort_by_key(|e| (e.query, e.probe));
-            export::write_entries_csv(&mut out, &entries).map_err(|e| e.to_string())?;
-            let (sign, theta) = match kind {
-                QueryKind::AbsAboveTheta { theta } => ("|·| ≥", theta),
-                QueryKind::AboveTheta { theta } => ("≥", theta),
-                _ => unreachable!("entry rows imply an Above-θ kind"),
-            };
-            eprintln!(
-                "{} entries {sign} {theta} | {} queries, {:.1} candidates/query, {} buckets over {} shard(s), total {:.3}s",
-                entries.len(),
-                stats.counters.queries,
-                stats.counters.candidates_per_query(),
-                stats.bucket_count,
-                engine.shard_count(),
-                stats.counters.total_seconds()
-            );
+    if kind.is_above() {
+        export::write_entries_csv(&mut out, &[]).map_err(|e| e.to_string())?;
+    } else {
+        export::write_topk_csv(&mut out, &Vec::new()).map_err(|e| e.to_string())?;
+    }
+    let mut scratch = engine.query_scratch();
+    let mut stats = RunStats::default();
+    let mut rows = 0usize;
+    let mut written = Ok(());
+    engine.execute_stream(&plan, &queries, &mut scratch, &mut |offset, block| {
+        stats.merge(&block.stats);
+        if written.is_err() {
+            return;
         }
-        QueryRows::Lists(lists) => {
-            export::write_topk_csv(&mut out, &lists).map_err(|e| e.to_string())?;
-            let k = match kind {
-                QueryKind::TopK { k } | QueryKind::TopKWithFloor { k, .. } => k,
-                _ => unreachable!("list rows imply a Row-Top-k kind"),
-            };
-            eprintln!(
-                "top-{k} for {} queries | {:.1} candidates/query, {} buckets over {} shard(s), total {:.3}s",
-                stats.counters.queries,
-                stats.counters.candidates_per_query(),
-                stats.bucket_count,
-                engine.shard_count(),
-                stats.counters.total_seconds()
-            );
+        written = match block.rows {
+            QueryRows::Entries(mut entries) => {
+                entries.sort_by_key(|e| (e.query, e.probe));
+                rows += entries.len();
+                export::write_entry_rows(&mut out, &entries)
+            }
+            QueryRows::Lists(lists) => export::write_topk_rows(&mut out, offset, &lists),
+        };
+    });
+    written.and_then(|()| out.flush()).map_err(|e| e.to_string())?;
+
+    let queries = stats.counters.queries;
+    let work = format!(
+        "{:.1} candidates/query, {} buckets over {} shard(s), total {:.3}s",
+        stats.counters.candidates_per_query(),
+        stats.bucket_count,
+        engine.shard_count(),
+        stats.counters.total_seconds()
+    );
+    match kind {
+        QueryKind::AboveTheta { theta } => {
+            eprintln!("{rows} entries ≥ {theta} | {queries} queries, {work}")
+        }
+        QueryKind::AbsAboveTheta { theta } => {
+            eprintln!("{rows} entries |·| ≥ {theta} | {queries} queries, {work}")
+        }
+        QueryKind::TopK { k } | QueryKind::TopKWithFloor { k, .. } => {
+            eprintln!("top-{k} for {queries} queries | {work}")
         }
     }
     Ok(())
@@ -621,20 +631,23 @@ fn matrix_stats(args: &[String]) -> Result<(), String> {
 fn tune_report(args: &[String]) -> Result<(), String> {
     let (queries, probes) = load_pair(args)?;
     let variant = parse_variant(opt(args, "variant").unwrap_or("LI"))?;
-    let mut engine = Lemp::builder().variant(variant).build(&probes);
-    let params = match (opt(args, "theta"), opt(args, "k")) {
+    let kind = match (opt(args, "theta"), opt(args, "k")) {
         (Some(raw), None) => {
-            let theta: f64 = raw.parse().map_err(|_| format!("bad theta: {raw:?}"))?;
-            engine.tune_above(&queries, theta)
+            QueryKind::AboveTheta { theta: raw.parse().map_err(|_| format!("bad theta: {raw:?}"))? }
         }
         (None, Some(raw)) => {
-            let k: usize = raw.parse().map_err(|_| format!("bad k: {raw:?}"))?;
-            engine.tune_top_k(&queries, k)
+            QueryKind::TopK { k: raw.parse().map_err(|_| format!("bad k: {raw:?}"))? }
         }
         _ => return Err("tune-report needs exactly one of theta=<f> or k=<n>".into()),
     };
+    // The plan carries the Sec. 4.4 tuner's per-bucket decisions.
+    let mut engine = Lemp::builder().variant(variant).build(&probes);
+    engine.warm(&queries, kind.warm_goal());
+    let plan = engine.plan(&QueryRequest::new(kind));
     println!("bucket,size,max_len,min_len,t_b,phi_b");
-    for (b, (bucket, p)) in engine.buckets().buckets().iter().zip(&params).enumerate() {
+    for (b, (bucket, p)) in
+        engine.buckets().buckets().iter().zip(plan.segments()[0].params()).enumerate()
+    {
         println!(
             "{b},{},{:.6},{:.6},{:.3},{}",
             bucket.len(),
@@ -1395,13 +1408,20 @@ mod tests {
         let out2 = temp("chunk-out2", "csv");
         write_csv_matrix(&q, &["1,0", "0,1", "2,2"]);
         write_csv_matrix(&p, &["2,0", "0,3", "1,1"]);
-        let base = ["above", q.to_str().unwrap(), p.to_str().unwrap(), "theta=1.5"];
-        run(&s(&[&base[..], &[&format!("out={}", out1.display())]].concat())).unwrap();
-        run(&s(&[&base[..], &[&format!("out={}", out2.display()), "chunk=1"]].concat())).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&out1).unwrap(),
-            std::fs::read_to_string(&out2).unwrap()
-        );
+        // Streamed blocks reach the file as they finish; the bytes must
+        // equal a monolithic run for both problems and any block size.
+        for problem in ["theta=1.5", "k=2"] {
+            let cmd = if problem.starts_with("k=") { "topk" } else { "above" };
+            let base = [cmd, q.to_str().unwrap(), p.to_str().unwrap(), problem];
+            run(&s(&[&base[..], &[&format!("out={}", out1.display())]].concat())).unwrap();
+            let expect = std::fs::read_to_string(&out1).unwrap();
+            assert!(expect.lines().count() > 2, "{cmd}: fixture must produce rows");
+            for chunk in ["chunk=1", "chunk=2", "chunk=5"] {
+                let out = format!("out={}", out2.display());
+                run(&s(&[&base[..], &[&out[..], chunk]].concat())).unwrap();
+                assert_eq!(expect, std::fs::read_to_string(&out2).unwrap(), "{cmd} {chunk}");
+            }
+        }
         for f in [&q, &p, &out1, &out2] {
             std::fs::remove_file(f).ok();
         }

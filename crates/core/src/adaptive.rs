@@ -42,11 +42,11 @@ use lemp_linalg::{kernels, TopK, VectorStore};
 use crate::algos::{MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{ensure_for, run_method, verify_above, verify_topk, BuildClock, RunConfig};
+use crate::exec::{run_method, verify_above, verify_topk};
 use crate::query::QueryBatch;
 use crate::runner::{
-    emit_zero_bucket, max_bucket_len, theta_over_len, unpruned_prefix, AboveThetaOutput, MethodMix,
-    RunStats, TopKOutput,
+    emit_zero_bucket, theta_over_len, unpruned_prefix, AboveThetaOutput, MethodMix, RunStats,
+    TopKOutput,
 };
 use crate::tuner;
 use crate::variant::ResolvedMethod;
@@ -236,8 +236,8 @@ impl AdaptiveSelector {
         self.states.len().checked_div(self.bins).unwrap_or(0)
     }
 
-    /// Total pulls across all bandits so far (grows across runs when the
-    /// selector is reused via the `*_with` drivers).
+    /// Total pulls across all bandits so far (grows across runs while the
+    /// selector lives on in the caller's [`crate::Scratch`]).
     pub fn total_pulls(&self) -> u64 {
         self.states.iter().map(|s| s.total_pulls).sum()
     }
@@ -352,165 +352,13 @@ impl AdaptiveReport {
     }
 }
 
-/// Builds the indexes every arm may need for one bucket (both coordinate
-/// layouts; LENGTH needs none). The bandit warm-up pulls every arm at least
-/// once, so this is not speculative work.
-fn ensure_arm_indexes(
-    buckets: &mut ProbeBuckets,
-    b: usize,
-    selector: &AdaptiveSelector,
-    cfg: &RunConfig,
-    clock: &mut BuildClock,
-) {
-    ensure_for(buckets, b, ResolvedMethod::Coord(1), 1.0, cfg, clock);
-    if selector.cfg.use_incr && selector.arm_count() > 2 {
-        ensure_for(buckets, b, ResolvedMethod::Incr(2), 1.0, cfg, clock);
-    }
-}
-
-/// Above-θ with online bandit selection (serial; learning state is shared
-/// across the whole sweep). Constructs a fresh selector and returns its
-/// report; use [`above_theta_adaptive_with`] to keep learning warm across
-/// runs.
-pub(crate) fn above_theta_adaptive(
-    buckets: &mut ProbeBuckets,
-    queries: &VectorStore,
-    theta: f64,
-    cfg: &RunConfig,
-    acfg: &AdaptiveConfig,
-) -> (AboveThetaOutput, AdaptiveReport) {
-    let mut selector = AdaptiveSelector::new(*acfg, buckets.bucket_count(), buckets.dim());
-    let out = above_theta_adaptive_with(buckets, queries, theta, cfg, &mut selector);
-    let report = selector.report();
-    (out, report)
-}
-
-/// [`above_theta_adaptive`] with caller-owned learning state: the selector
-/// keeps its arm statistics across calls, so a long-lived service warms up
-/// once and exploits thereafter.
+/// Above-θ with online bandit selection over a **warmed** engine: both
+/// sorted-list layouts exist in every bucket, so the buckets are only
+/// read — the `&self`-shareable adaptive path (the learning state lives in
+/// the caller's selector, which keeps its arm statistics across calls).
 ///
 /// # Panics
 /// If the selector was sized for a different bucketization (caller bug).
-pub(crate) fn above_theta_adaptive_with(
-    buckets: &mut ProbeBuckets,
-    queries: &VectorStore,
-    theta: f64,
-    cfg: &RunConfig,
-    selector: &mut AdaptiveSelector,
-) -> AboveThetaOutput {
-    assert_eq!(queries.dim(), buckets.dim(), "query/probe dimensionality mismatch");
-    assert_eq!(
-        selector.bucket_count(),
-        buckets.bucket_count(),
-        "selector sized for a different bucketization"
-    );
-    let prep_start = Instant::now();
-    let batch = QueryBatch::build(queries);
-    let tol: Vec<f64> = batch.lengths.iter().map(|&l| theta_over_len(theta, l)).collect();
-    let batch_prep_ns = prep_start.elapsed().as_nanos() as u64;
-
-    let mut clock = BuildClock::default();
-    let retrieval_start = Instant::now();
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut counters = RetrievalCounters { queries: queries.len() as u64, ..Default::default() };
-    let mut mix = MethodMix::default();
-    let mut scratch = MethodScratch::new(max_bucket_len(buckets));
-    let mut sink = Sink::default();
-
-    let nbuckets = buckets.bucket_count();
-    for b in 0..nbuckets {
-        let bucket = &buckets.buckets()[b];
-        let unpruned = unpruned_prefix(&batch, theta, bucket.max_len);
-        if unpruned == 0 {
-            break; // later buckets are shorter: pruned for every query
-        }
-        if bucket.max_len <= 0.0 {
-            emit_zero_bucket(bucket, &batch, 0, unpruned, &mut entries, &mut counters);
-            continue;
-        }
-        ensure_arm_indexes(buckets, b, selector, cfg, &mut clock);
-        let bucket = &buckets.buckets()[b];
-        adaptive_above_bucket(
-            b,
-            bucket,
-            &batch,
-            queries,
-            theta,
-            &tol,
-            unpruned,
-            selector,
-            &mut scratch,
-            &mut sink,
-            &mut entries,
-            &mut counters,
-            &mut mix,
-        );
-    }
-
-    let retrieval_ns = (retrieval_start.elapsed().as_nanos() as u64).saturating_sub(clock.ns);
-    counters.preprocess_ns = buckets.prep_ns() + batch_prep_ns + clock.ns;
-    counters.retrieval_ns = retrieval_ns;
-    AboveThetaOutput {
-        entries,
-        stats: RunStats {
-            counters,
-            bucket_count: nbuckets,
-            indexes_built: clock.built,
-            method_mix: mix,
-            lut_builds: 0,
-        },
-    }
-}
-
-/// One bucket's Above-θ sweep with bandit arm choices (indexes already
-/// built). Shared by the lazy `&mut` driver and the warmed `&self` path.
-#[allow(clippy::too_many_arguments)]
-fn adaptive_above_bucket(
-    b: usize,
-    bucket: &Bucket,
-    batch: &QueryBatch,
-    queries: &VectorStore,
-    theta: f64,
-    tol: &[f64],
-    unpruned: usize,
-    selector: &mut AdaptiveSelector,
-    scratch: &mut MethodScratch,
-    sink: &mut Sink,
-    entries: &mut Vec<Entry>,
-    counters: &mut RetrievalCounters,
-    mix: &mut MethodMix,
-) {
-    scratch.ensure(bucket.len());
-    #[allow(clippy::needless_range_loop)] // qi indexes parallel arrays
-    for qi in 0..unpruned {
-        let qlen = batch.lengths[qi];
-        let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
-        let bin = selector.bin(local_threshold(theta, qlen, bucket.max_len));
-        let arm = selector.choose(b, bin);
-        let method = selector.method(arm);
-        mix.record(method);
-        let ctx = QueryCtx {
-            dir: batch.dirs.vector(qi),
-            len: qlen,
-            theta,
-            theta_over_len: tol[qi],
-            local_threshold: th_b,
-            scaled: queries.vector(batch.ids[qi] as usize),
-        };
-        let pull_start = Instant::now();
-        sink.clear();
-        let internal = run_method(method, &ctx, bucket, None, scratch, sink);
-        let (vdots, results) = verify_above(bucket, &ctx, sink, batch.ids[qi], entries);
-        selector.record(b, bin, arm, pull_start.elapsed().as_nanos() as u64);
-        counters.candidates += internal + vdots;
-        counters.results += results;
-    }
-}
-
-/// [`above_theta_adaptive_with`] over a **warmed** engine: both sorted-list
-/// layouts exist in every bucket, so the buckets are only read — the
-/// `&self`-shareable adaptive path (the learning state lives in the
-/// caller's selector).
 pub(crate) fn above_theta_adaptive_prepared(
     buckets: &ProbeBuckets,
     queries: &VectorStore,
@@ -544,21 +392,31 @@ pub(crate) fn above_theta_adaptive_prepared(
             emit_zero_bucket(bucket, &batch, 0, unpruned, &mut entries, &mut counters);
             continue;
         }
-        adaptive_above_bucket(
-            b,
-            bucket,
-            &batch,
-            queries,
-            theta,
-            &tol,
-            unpruned,
-            selector,
-            scratch,
-            &mut sink,
-            &mut entries,
-            &mut counters,
-            &mut mix,
-        );
+        scratch.ensure(bucket.len());
+        #[allow(clippy::needless_range_loop)] // qi indexes parallel arrays
+        for qi in 0..unpruned {
+            let qlen = batch.lengths[qi];
+            let th_b = region_threshold(theta, qlen, bucket.max_len, bucket.min_len);
+            let bin = selector.bin(local_threshold(theta, qlen, bucket.max_len));
+            let arm = selector.choose(b, bin);
+            let method = selector.method(arm);
+            mix.record(method);
+            let ctx = QueryCtx {
+                dir: batch.dirs.vector(qi),
+                len: qlen,
+                theta,
+                theta_over_len: tol[qi],
+                local_threshold: th_b,
+                scaled: queries.vector(batch.ids[qi] as usize),
+            };
+            let pull_start = Instant::now();
+            sink.clear();
+            let internal = run_method(method, &ctx, bucket, None, scratch, &mut sink);
+            let (vdots, results) = verify_above(bucket, &ctx, &sink, batch.ids[qi], &mut entries);
+            selector.record(b, bin, arm, pull_start.elapsed().as_nanos() as u64);
+            counters.candidates += internal + vdots;
+            counters.results += results;
+        }
     }
 
     counters.preprocess_ns = batch_prep_ns;
@@ -569,107 +427,6 @@ pub(crate) fn above_theta_adaptive_prepared(
             counters,
             bucket_count: buckets.bucket_count(),
             indexes_built: 0,
-            method_mix: mix,
-            lut_builds: 0,
-        },
-    }
-}
-
-/// Row-Top-k with online bandit selection (serial). Constructs a fresh
-/// selector and returns its report; use [`row_top_k_adaptive_with`] to
-/// keep learning warm across runs.
-pub(crate) fn row_top_k_adaptive(
-    buckets: &mut ProbeBuckets,
-    queries: &VectorStore,
-    k: usize,
-    cfg: &RunConfig,
-    acfg: &AdaptiveConfig,
-) -> (TopKOutput, AdaptiveReport) {
-    let mut selector = AdaptiveSelector::new(*acfg, buckets.bucket_count(), buckets.dim());
-    let out = row_top_k_adaptive_with(buckets, queries, k, cfg, &mut selector);
-    let report = selector.report();
-    (out, report)
-}
-
-/// [`row_top_k_adaptive`] with caller-owned learning state.
-///
-/// # Panics
-/// If the selector was sized for a different bucketization (caller bug).
-pub(crate) fn row_top_k_adaptive_with(
-    buckets: &mut ProbeBuckets,
-    queries: &VectorStore,
-    k: usize,
-    cfg: &RunConfig,
-    selector: &mut AdaptiveSelector,
-) -> TopKOutput {
-    assert_eq!(queries.dim(), buckets.dim(), "query/probe dimensionality mismatch");
-    assert_eq!(
-        selector.bucket_count(),
-        buckets.bucket_count(),
-        "selector sized for a different bucketization"
-    );
-    // Clamp k to the live probe count, like every Row-Top-k driver.
-    let k = k.min(buckets.total());
-    let prep_start = Instant::now();
-    let batch = QueryBatch::build(queries);
-    let batch_prep_ns = prep_start.elapsed().as_nanos() as u64;
-
-    let mut clock = BuildClock::default();
-    let retrieval_start = Instant::now();
-    let mut lists: Vec<Vec<lemp_linalg::ScoredItem>> = vec![Vec::new(); queries.len()];
-    let mut counters = RetrievalCounters { queries: queries.len() as u64, ..Default::default() };
-    let mut mix = MethodMix::default();
-    let mut scratch = MethodScratch::new(max_bucket_len(buckets));
-    let mut sink = Sink::default();
-    let mut top = TopK::new(k);
-    let mut seed_counts: Vec<usize> = Vec::new();
-
-    if k > 0 && !batch.is_empty() && buckets.bucket_count() > 0 {
-        for qi in 0..batch.len() {
-            let dir = batch.dirs.vector(qi);
-            // Lazy index construction, as in the serial tuned driver: θ′
-            // only grows after seeding, so a bucket pruned now stays pruned.
-            let theta_seed = tuner::seed_threshold(buckets, dir, k);
-            for b in 0..buckets.bucket_count() {
-                let max_len = buckets.buckets()[b].max_len;
-                if max_len <= 0.0 {
-                    continue;
-                }
-                if local_threshold(theta_seed, 1.0, max_len) > 1.0 + 1e-12 {
-                    break;
-                }
-                ensure_arm_indexes(buckets, b, selector, cfg, &mut clock);
-            }
-            // The sweep itself (Sec. 4.5 driver with bandit arm choices).
-            let mut list = adaptive_topk_one(
-                buckets.buckets(),
-                dir,
-                k,
-                selector,
-                &mut scratch,
-                &mut sink,
-                &mut top,
-                &mut seed_counts,
-                &mut counters,
-                &mut mix,
-            );
-            for item in &mut list {
-                item.score *= batch.lengths[qi];
-            }
-            lists[batch.ids[qi] as usize] = list;
-        }
-    }
-
-    let retrieval_ns = (retrieval_start.elapsed().as_nanos() as u64).saturating_sub(clock.ns);
-    counters.results = lists.iter().map(|l| l.len() as u64).sum();
-    counters.preprocess_ns = buckets.prep_ns() + batch_prep_ns + clock.ns;
-    counters.retrieval_ns = retrieval_ns;
-    TopKOutput {
-        lists,
-        stats: RunStats {
-            counters,
-            bucket_count: buckets.bucket_count(),
-            indexes_built: clock.built,
             method_mix: mix,
             lut_builds: 0,
         },
@@ -740,12 +497,19 @@ fn adaptive_topk_one(
     top.drain_sorted()
 }
 
-/// [`row_top_k_adaptive_with`] over a **warmed** engine (see
-/// [`above_theta_adaptive_prepared`]).
+/// Row-Top-k with online bandit selection over a **warmed** engine (see
+/// [`above_theta_adaptive_prepared`]). With a `floor` above `−∞` the lists
+/// keep only entries with `qᵀp ≥ floor`: the bandit sweeps for the plain
+/// top-k, and filtering that is exact, because any entry ≥ floor outside
+/// the plain top-k is dominated by k entries that are themselves ≥ floor.
+///
+/// # Panics
+/// If the selector was sized for a different bucketization (caller bug).
 pub(crate) fn row_top_k_adaptive_prepared(
     buckets: &ProbeBuckets,
     queries: &VectorStore,
     k: usize,
+    floor: f64,
     selector: &mut AdaptiveSelector,
     scratch: &mut MethodScratch,
 ) -> TopKOutput {
@@ -786,6 +550,7 @@ pub(crate) fn row_top_k_adaptive_prepared(
             for item in &mut list {
                 item.score *= batch.lengths[qi];
             }
+            list.retain(|item| item.score >= floor);
             lists[batch.ids[qi] as usize] = list;
         }
     }
@@ -809,7 +574,7 @@ pub(crate) fn row_top_k_adaptive_prepared(
 mod tests {
     use super::*;
     use crate::bucket::BucketPolicy;
-    use crate::Lemp;
+    use crate::{Engine, Lemp, QueryRequest, QueryResponse, Scratch, WarmGoal};
     use lemp_baselines::types::{canonical_pairs, topk_equivalent};
     use lemp_baselines::Naive;
     use lemp_data::synthetic::GeneratorConfig;
@@ -818,6 +583,38 @@ mod tests {
         let q = GeneratorConfig::gaussian(m, 10, cov).generate(seed);
         let p = GeneratorConfig::gaussian(n, 10, cov).generate(seed + 1);
         (q, p)
+    }
+
+    /// A default engine over `p`, warmed on `q` (the bandit ignores the
+    /// tuned parameters; warming builds every arm's indexes).
+    fn warmed(p: &VectorStore, q: &VectorStore) -> Lemp {
+        let mut engine = Lemp::new(p);
+        engine.warm(q, WarmGoal::TopK(1));
+        engine
+    }
+
+    /// Runs `request` under adaptive selection with `acfg`, learning into
+    /// `scratch`.
+    fn run_adaptive(
+        engine: &Lemp,
+        q: &VectorStore,
+        request: QueryRequest,
+        acfg: AdaptiveConfig,
+        scratch: &mut Scratch,
+    ) -> QueryResponse {
+        engine.run(&request.adaptive(acfg), q, scratch)
+    }
+
+    /// One fresh adaptive run: the response plus what the bandits learned.
+    fn run_fresh(
+        engine: &Lemp,
+        q: &VectorStore,
+        request: QueryRequest,
+        acfg: AdaptiveConfig,
+    ) -> (QueryResponse, AdaptiveReport) {
+        let mut scratch = engine.query_scratch();
+        let out = run_adaptive(engine, q, request, acfg, &mut scratch);
+        (out, scratch.adaptive_reports().remove(0))
     }
 
     fn policies() -> [BanditPolicy; 3] {
@@ -835,10 +632,10 @@ mod tests {
         assert!(!expect.is_empty());
         for policy in policies() {
             let acfg = AdaptiveConfig { policy, ..Default::default() };
-            let mut engine = Lemp::new(&p);
-            let (out, report) = engine.above_theta_adaptive(&q, 1.2, &acfg);
+            let engine = warmed(&p, &q);
+            let (out, report) = run_fresh(&engine, &q, QueryRequest::above_theta(1.2), acfg);
             assert_eq!(
-                canonical_pairs(&out.entries),
+                canonical_pairs(out.entries().unwrap()),
                 canonical_pairs(&expect),
                 "{policy:?} diverges from Naive"
             );
@@ -849,14 +646,14 @@ mod tests {
     #[test]
     fn adaptive_topk_matches_naive_for_every_policy() {
         let (q, p) = data(40, 300, 0.8, 88);
+        let engine = warmed(&p, &q);
         for k in [1usize, 5] {
             let (expect, _) = Naive.row_top_k(&q, &p, k);
             for policy in policies() {
                 let acfg = AdaptiveConfig { policy, ..Default::default() };
-                let mut engine = Lemp::new(&p);
-                let (out, _) = engine.row_top_k_adaptive(&q, k, &acfg);
+                let (out, _) = run_fresh(&engine, &q, QueryRequest::top_k(k), acfg);
                 assert!(
-                    topk_equivalent(&out.lists, &expect, 1e-9),
+                    topk_equivalent(out.lists().unwrap(), &expect, 1e-9),
                     "{policy:?} diverges from Naive at k={k}"
                 );
             }
@@ -868,17 +665,15 @@ mod tests {
         let (q, p) = data(30, 200, 1.2, 99);
         let (expect, _) = Naive.above_theta(&q, &p, 0.9);
         let acfg = AdaptiveConfig { use_incr: false, ..Default::default() };
-        let mut engine = Lemp::new(&p);
-        let (out, _) = engine.above_theta_adaptive(&q, 0.9, &acfg);
-        assert_eq!(canonical_pairs(&out.entries), canonical_pairs(&expect));
+        let (out, _) = run_fresh(&warmed(&p, &q), &q, QueryRequest::above_theta(0.9), acfg);
+        assert_eq!(canonical_pairs(out.entries().unwrap()), canonical_pairs(&expect));
     }
 
     #[test]
     fn warm_up_pulls_every_arm_once_per_active_bin() {
         let (q, p) = data(200, 300, 0.6, 11);
         let acfg = AdaptiveConfig::default();
-        let mut engine = Lemp::new(&p);
-        let (_, report) = engine.above_theta_adaptive(&q, 0.5, &acfg);
+        let (_, report) = run_fresh(&warmed(&p, &q), &q, QueryRequest::above_theta(0.5), acfg);
         let arms = report.arm_names.len();
         for bins in &report.buckets {
             for bin in bins {
@@ -897,9 +692,20 @@ mod tests {
     fn report_pull_total_equals_method_mix_total() {
         let (q, p) = data(80, 250, 1.0, 22);
         let acfg = AdaptiveConfig::default();
-        let mut engine = Lemp::new(&p);
-        let (out, report) = engine.above_theta_adaptive(&q, 0.8, &acfg);
+        let engine = warmed(&p, &q);
+        let (out, report) = run_fresh(&engine, &q, QueryRequest::above_theta(0.8), acfg);
         assert_eq!(report.total_pulls(), out.stats.method_mix.total());
+        // One scratch, two calls under the same configuration: the report
+        // accumulates, so its pulls equal the summed method mixes.
+        let mut scratch = engine.query_scratch();
+        let mut mixed = 0;
+        for request in [QueryRequest::above_theta(0.8), QueryRequest::top_k(3)] {
+            mixed +=
+                run_adaptive(&engine, &q, request, acfg, &mut scratch).stats.method_mix.total();
+            let reports = scratch.adaptive_reports();
+            assert_eq!(reports.len(), 1);
+            assert_eq!(reports[0].total_pulls(), mixed);
+        }
     }
 
     #[test]
@@ -1001,23 +807,25 @@ mod tests {
     fn warm_selector_accumulates_learning_across_runs() {
         let (q, p) = data(50, 300, 1.0, 55);
         let (expect, _) = Naive.above_theta(&q, &p, 1.0);
-        let mut engine = Lemp::new(&p);
-        let mut selector = engine.adaptive_selector(&AdaptiveConfig::default());
-        assert_eq!(selector.total_pulls(), 0);
+        let engine = warmed(&p, &q);
+        let acfg = AdaptiveConfig::default();
+        let mut scratch = engine.query_scratch();
+        let pulls = |scratch: &Scratch| scratch.adaptive_reports()[0].total_pulls();
 
-        let out1 = engine.above_theta_adaptive_with(&q, 1.0, &mut selector);
-        let after_first = selector.total_pulls();
+        let request = QueryRequest::above_theta(1.0);
+        let out1 = run_adaptive(&engine, &q, request, acfg, &mut scratch);
+        let after_first = pulls(&scratch);
         assert!(after_first > 0);
-        let out2 = engine.above_theta_adaptive_with(&q, 1.0, &mut selector);
-        assert!(selector.total_pulls() > after_first, "state persists across runs");
+        let out2 = run_adaptive(&engine, &q, request, acfg, &mut scratch);
+        assert!(pulls(&scratch) > after_first, "state persists across runs");
         // Both runs are exact regardless of the learning trajectory.
-        assert_eq!(canonical_pairs(&out1.entries), canonical_pairs(&expect));
-        assert_eq!(canonical_pairs(&out2.entries), canonical_pairs(&expect));
+        assert_eq!(canonical_pairs(out1.entries().unwrap()), canonical_pairs(&expect));
+        assert_eq!(canonical_pairs(out2.entries().unwrap()), canonical_pairs(&expect));
 
-        // The same selector serves top-k runs over the same engine.
+        // The same learning state serves top-k runs over the same engine.
         let (expect_k, _) = Naive.row_top_k(&q, &p, 3);
-        let out = engine.row_top_k_adaptive_with(&q, 3, &mut selector);
-        assert!(topk_equivalent(&out.lists, &expect_k, 1e-9));
+        let out = run_adaptive(&engine, &q, QueryRequest::top_k(3), acfg, &mut scratch);
+        assert!(topk_equivalent(out.lists().unwrap(), &expect_k, 1e-9));
     }
 
     #[test]
@@ -1025,14 +833,16 @@ mod tests {
     fn foreign_selector_is_rejected() {
         let (q, p) = data(10, 200, 1.0, 56);
         let small = GeneratorConfig::gaussian(40, 10, 0.5).generate(57);
-        let other = Lemp::new(&small);
-        let mut selector = other.adaptive_selector(&AdaptiveConfig::default());
-        if selector.bucket_count() == Lemp::new(&p).buckets().bucket_count() {
+        let other = Lemp::new(&small).buckets().bucket_count();
+        let mut selector = AdaptiveSelector::new(AdaptiveConfig::default(), other, 10);
+        let engine = warmed(&p, &q);
+        if other == engine.buckets().bucket_count() {
             // Degenerate collision: force a mismatch instead of a flaky pass.
             panic!("different bucketization (fixture collision)");
         }
-        let mut engine = Lemp::new(&p);
-        let _ = engine.above_theta_adaptive_with(&q, 1.0, &mut selector);
+        let mut scratch = MethodScratch::new(0);
+        let _ =
+            above_theta_adaptive_prepared(engine.buckets(), &q, 1.0, &mut selector, &mut scratch);
     }
 
     #[test]
@@ -1040,13 +850,13 @@ mod tests {
         let p = GeneratorConfig::gaussian(50, 6, 0.5).generate(5);
         let empty = VectorStore::empty(6).unwrap();
         let acfg = AdaptiveConfig::default();
-        let mut engine = Lemp::new(&p);
-        let (out, _) = engine.above_theta_adaptive(&empty, 0.5, &acfg);
-        assert!(out.entries.is_empty());
-        let (out, _) = engine.row_top_k_adaptive(&empty, 3, &acfg);
-        assert!(out.lists.is_empty());
-        let (out, _) = engine.row_top_k_adaptive(&p, 0, &acfg);
-        assert!(out.lists.iter().all(Vec::is_empty));
+        let engine = warmed(&p, &p);
+        let (out, _) = run_fresh(&engine, &empty, QueryRequest::above_theta(0.5), acfg);
+        assert!(out.entries().unwrap().is_empty());
+        let (out, _) = run_fresh(&engine, &empty, QueryRequest::top_k(3), acfg);
+        assert!(out.lists().unwrap().is_empty());
+        let (out, _) = run_fresh(&engine, &p, QueryRequest::top_k(0), acfg);
+        assert!(out.lists().unwrap().iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -1054,10 +864,11 @@ mod tests {
         let (q, p) = data(30, 200, 1.0, 33);
         let policy = BucketPolicy::default();
         let mut engine = Lemp::builder().policy(policy).build(&p);
+        engine.warm(&q, WarmGoal::Above(1.0));
         let acfg = AdaptiveConfig::default();
-        let (a, ra) = engine.above_theta_adaptive(&q, 1.0, &acfg);
-        let (b, rb) = engine.above_theta_adaptive(&q, 1.0, &acfg);
-        assert_eq!(canonical_pairs(&a.entries), canonical_pairs(&b.entries));
+        let (a, ra) = run_fresh(&engine, &q, QueryRequest::above_theta(1.0), acfg);
+        let (b, rb) = run_fresh(&engine, &q, QueryRequest::above_theta(1.0), acfg);
+        assert_eq!(canonical_pairs(a.entries().unwrap()), canonical_pairs(b.entries().unwrap()));
         assert_eq!(ra.buckets.len(), rb.buckets.len());
         assert_eq!(ra.buckets.len(), engine.buckets().bucket_count());
     }

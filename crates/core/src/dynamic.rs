@@ -9,12 +9,13 @@
 //!
 //! * **Insert**: the new vector is routed to the bucket whose length range
 //!   contains it (binary search over the bucket boundaries), placed at its
-//!   sorted position, and the bucket's lazy indexes are dropped — they
-//!   rebuild on the next query that needs them, exactly like the paper's
-//!   lazy construction. When a vector falls *between* two buckets' ranges,
-//!   a quality rule mirroring the paper's bucketization decides between
-//!   joining a neighbour (if the ratio or min-size rule allows) and opening
-//!   a fresh bucket. Buckets pushed past the cache cap split in half.
+//!   sorted position, and the bucket's indexes are dropped — a warm
+//!   engine rebuilds them inside the edit, so queries through [`Engine`]
+//!   never see a missing index. When a vector falls *between* two
+//!   buckets' ranges, a quality rule mirroring the paper's bucketization
+//!   decides between joining a neighbour (if the ratio or min-size rule
+//!   allows) and opening a fresh bucket. Buckets pushed past the cache cap
+//!   split in half.
 //! * **Remove**: the vector's bucket is located through its length (lengths
 //!   are tracked per id, and computed with the same `kernels::norm` used by
 //!   bucketization, so the lookup is exact), the row is cut out, indexes
@@ -38,13 +39,12 @@
 
 use lemp_linalg::{kernels, LinalgError, VectorStore};
 
-use crate::adaptive::AdaptiveSelector;
 use crate::algos::MethodScratch;
 use crate::bucket::{Bucket, BucketPolicy, ProbeBuckets};
 use crate::exec::{BuildClock, RunConfig};
 use crate::persist::PersistError;
 use crate::plan::{self, Engine, QueryPlan, QueryRequest, QueryResponse, Scratch};
-use crate::runner::{self, AboveThetaOutput, TopKOutput};
+use crate::runner;
 use crate::variant::TunedParams;
 use crate::{Lemp, WarmGoal, WarmReport, WarmState};
 
@@ -58,7 +58,7 @@ use crate::{Lemp, WarmGoal, WarmReport, WarmState};
 ///
 /// ```
 /// use lemp_core::dynamic::DynamicLemp;
-/// use lemp_core::{BucketPolicy, RunConfig};
+/// use lemp_core::{BucketPolicy, Engine, QueryRequest, RunConfig, WarmGoal};
 /// use lemp_linalg::VectorStore;
 ///
 /// let probes = VectorStore::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
@@ -68,9 +68,13 @@ use crate::{Lemp, WarmGoal, WarmReport, WarmState};
 /// assert!(engine.remove(0));
 /// assert!(!engine.remove(0)); // already gone
 ///
+/// // Queries go through the `Engine` trait on a warmed engine; edits keep
+/// // it warm.
 /// let queries = VectorStore::from_rows(&[vec![1.0, 1.0]]).unwrap();
-/// let top = engine.row_top_k(&queries, 1);
-/// assert_eq!(top.lists[0][0].id, id as usize); // the inserted vector wins
+/// engine.warm(&queries, WarmGoal::TopK(1));
+/// let mut scratch = engine.query_scratch();
+/// let top = engine.run(&QueryRequest::top_k(1), &queries, &mut scratch);
+/// assert_eq!(top.lists().unwrap()[0][0].id, id as usize); // the inserted vector wins
 /// ```
 #[derive(Debug)]
 pub struct DynamicLemp {
@@ -144,15 +148,16 @@ impl DynamicLemp {
         report
     }
 
-    /// Whether the engine is warm (the `*_shared` methods are usable).
+    /// Whether the engine is warm ([`Engine::plan`]/[`Engine::execute`]
+    /// are usable).
     pub fn is_warm(&self) -> bool {
         self.warm.is_some()
     }
 
-    /// A [`MethodScratch`] sized for the current largest bucket (one per
-    /// querying thread). Scratch grows on demand, so it stays valid as
-    /// edits reshape the buckets.
-    pub fn make_scratch(&self) -> MethodScratch {
+    /// Method scratch sized for the current largest bucket (wrapped into a
+    /// [`Scratch`] by [`Engine::query_scratch`]). Scratch grows on demand,
+    /// so it stays valid as edits reshape the buckets.
+    pub(crate) fn make_scratch(&self) -> MethodScratch {
         MethodScratch::new(runner::max_bucket_len(&self.buckets))
     }
 
@@ -160,27 +165,6 @@ impl DynamicLemp {
         self.warm.as_ref().unwrap_or_else(|| {
             panic!("{caller} requires a warmed engine: call DynamicLemp::warm first")
         })
-    }
-
-    /// The unified execution core behind every `*_shared` entry point —
-    /// the same [`plan::run_request_single`] path [`Lemp`] uses, over the
-    /// live buckets.
-    fn shared_request(
-        &self,
-        caller: &str,
-        request: &QueryRequest,
-        queries: &VectorStore,
-        scratch: &mut MethodScratch,
-        selector: Option<&mut AdaptiveSelector>,
-    ) -> QueryResponse {
-        let warm = self.warm_state(caller);
-        let parts = plan::SinglePrepared {
-            buckets: &self.buckets,
-            config: &self.config,
-            per_bucket: &warm.per_bucket,
-            blsh: warm.blsh_table.as_ref(),
-        };
-        plan::run_request_single(&parts, request, queries, scratch, selector)
     }
 
     /// Rebuilds the indexes of bucket `b` so the warm invariant (every
@@ -226,12 +210,6 @@ impl DynamicLemp {
     /// The run configuration this engine executes with.
     pub fn config(&self) -> &RunConfig {
         &self.config
-    }
-
-    /// A fresh [`AdaptiveSelector`] sized for this engine's current
-    /// bucketization, for the adaptive (bandit) drivers.
-    pub fn adaptive_selector(&self, acfg: &crate::adaptive::AdaptiveConfig) -> AdaptiveSelector {
-        AdaptiveSelector::new(*acfg, self.buckets.bucket_count(), self.buckets.dim())
     }
 
     /// Current number of buckets.
@@ -436,8 +414,7 @@ impl DynamicLemp {
     }
 
     /// Rebuilds the bucketization from scratch (compaction). Stable ids are
-    /// preserved; all lazy indexes are dropped and rebuild on demand. A
-    /// warm engine stays warm — every bucket of the compacted layout is
+    /// preserved; all indexes are dropped. A warm engine stays warm — every bucket of the compacted layout is
     /// re-indexed before the call returns — but the tuned per-bucket
     /// parameters reset to defaults (the old buckets no longer exist);
     /// call [`DynamicLemp::warm`] again to re-tune. The quantization
@@ -462,142 +439,6 @@ impl DynamicLemp {
                 w.per_bucket = per_bucket;
             }
         }
-    }
-
-    /// Solves Above-θ over the live probes (ids in the result are stable).
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn above_theta(&mut self, queries: &VectorStore, theta: f64) -> AboveThetaOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.above_theta_shared(queries, theta, &mut scratch);
-        }
-        runner::above_theta(&mut self.buckets, queries, theta, &self.config)
-    }
-
-    /// Solves Row-Top-k over the live probes (ids in the result are
-    /// stable).
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn row_top_k(&mut self, queries: &VectorStore, k: usize) -> TopKOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.row_top_k_shared(queries, k, &mut scratch);
-        }
-        runner::row_top_k(&mut self.buckets, queries, k, &self.config)
-    }
-
-    /// [`DynamicLemp::above_theta`] through `&self` over a warmed engine,
-    /// with a caller-owned scratch — the hot path of `lemp-serve`, where
-    /// many reader threads share one engine behind an `RwLock` whose write
-    /// side is only taken by probe edits.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`DynamicLemp::warm`]) or on
-    /// query/probe dimensionality mismatch.
-    pub fn above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut MethodScratch,
-    ) -> AboveThetaOutput {
-        self.shared_request(
-            "above_theta_shared",
-            &QueryRequest::above_theta(theta),
-            queries,
-            scratch,
-            None,
-        )
-        .into_above()
-    }
-
-    /// [`DynamicLemp::row_top_k`] through `&self` over a warmed engine.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`DynamicLemp::warm`]) or on
-    /// query/probe dimensionality mismatch.
-    pub fn row_top_k_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        scratch: &mut MethodScratch,
-    ) -> TopKOutput {
-        self.row_top_k_with_floor_shared(queries, k, f64::NEG_INFINITY, scratch)
-    }
-
-    /// [`DynamicLemp::row_top_k_with_floor`] through `&self` over a warmed
-    /// engine.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`DynamicLemp::warm`]) or on
-    /// query/probe dimensionality mismatch.
-    pub fn row_top_k_with_floor_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        floor: f64,
-        scratch: &mut MethodScratch,
-    ) -> TopKOutput {
-        self.shared_request(
-            "row_top_k_with_floor_shared",
-            &QueryRequest::top_k_with_floor(k, floor),
-            queries,
-            scratch,
-            None,
-        )
-        .into_top_k()
-    }
-
-    /// [`DynamicLemp::abs_above_theta`] through `&self` over a warmed
-    /// engine.
-    ///
-    /// # Panics
-    /// If `theta ≤ 0`, the engine is not warmed, or on dimensionality
-    /// mismatch.
-    pub fn abs_above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut MethodScratch,
-    ) -> AboveThetaOutput {
-        self.shared_request(
-            "abs_above_theta_shared",
-            &QueryRequest::abs_above_theta(theta),
-            queries,
-            scratch,
-            None,
-        )
-        .into_above()
-    }
-
-    /// Solves **|Above-θ|** (`|qᵀp| ≥ theta`, `theta > 0`) over the live
-    /// probes, as [`crate::Lemp::abs_above_theta`] does for the static
-    /// engine.
-    ///
-    /// # Panics
-    /// If `theta ≤ 0` or on dimensionality mismatch.
-    pub fn abs_above_theta(&mut self, queries: &VectorStore, theta: f64) -> AboveThetaOutput {
-        crate::abs_above_theta_via(queries, theta, |q| self.above_theta(q, theta))
-    }
-
-    /// **Row-Top-k with a score floor** over the live probes, as
-    /// [`crate::Lemp::row_top_k_with_floor`] does for the static engine.
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn row_top_k_with_floor(
-        &mut self,
-        queries: &VectorStore,
-        k: usize,
-        floor: f64,
-    ) -> TopKOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.row_top_k_with_floor_shared(queries, k, floor, &mut scratch);
-        }
-        runner::row_top_k_floor(&mut self.buckets, queries, k, floor, &self.config)
     }
 
     /// The underlying buckets (inspection / tests).
@@ -759,7 +600,7 @@ impl Engine for DynamicLemp {
         )
     }
 
-    fn execute(
+    fn execute_block(
         &self,
         plan: &QueryPlan,
         queries: &VectorStore,
@@ -811,7 +652,7 @@ fn singleton(id: u32, v: &[f64]) -> Bucket {
 mod tests {
     use super::*;
     use crate::LempVariant;
-    use lemp_baselines::types::canonical_pairs;
+    use lemp_baselines::types::{canonical_pairs, TopKLists};
     use lemp_baselines::Naive;
     use lemp_data::synthetic::GeneratorConfig;
     use rand::rngs::StdRng;
@@ -825,6 +666,21 @@ mod tests {
         let config = RunConfig { sample_size: 8, ..Default::default() };
         let policy = BucketPolicy { min_bucket: 8, cache_bytes: 64 << 10, ..Default::default() };
         DynamicLemp::new(probes, policy, config)
+    }
+
+    /// Warms `e` on `queries` for the current layout and runs `request`.
+    fn run(e: &mut DynamicLemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+        e.warm(queries, request.kind.warm_goal());
+        let mut scratch = e.query_scratch();
+        e.run(&request, queries, &mut scratch)
+    }
+
+    fn above(e: &mut DynamicLemp, queries: &VectorStore, theta: f64) -> Vec<(u32, u32)> {
+        canonical_pairs(run(e, queries, QueryRequest::above_theta(theta)).entries().unwrap())
+    }
+
+    fn top_k(e: &mut DynamicLemp, queries: &VectorStore, k: usize) -> TopKLists {
+        run(e, queries, QueryRequest::top_k(k)).into_top_k().lists
     }
 
     #[test]
@@ -853,14 +709,14 @@ mod tests {
             }
         }
         expect_abs.sort_unstable();
-        let out = e.abs_above_theta(&queries, theta);
+        let out = run(&mut e, &queries, QueryRequest::abs_above_theta(theta)).into_above();
         assert_eq!(canonical_pairs(&out.entries), expect_abs);
         assert!(out.entries.iter().any(|en| en.value < 0.0), "two-sided fixture");
 
         // Floored top-k against the brute-force filtered ranking.
         let k = 3;
         let floor = 0.7;
-        let out = e.row_top_k_with_floor(&queries, k, floor);
+        let out = run(&mut e, &queries, QueryRequest::top_k_with_floor(k, floor)).into_top_k();
         for (i, list) in out.lists.iter().enumerate() {
             let mut row: Vec<(u32, f64)> = (0..live.len())
                 .map(|j| (ids[j], queries.dot_between(i, &live, j)))
@@ -946,15 +802,13 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.bucket_count(), 0);
         let q = fixture(3, 5);
-        assert!(e.above_theta(&q, 0.1).entries.is_empty());
-        let top = e.row_top_k(&q, 2);
-        assert!(top.lists.iter().all(Vec::is_empty));
+        assert!(above(&mut e, &q, 0.1).is_empty());
+        assert!(top_k(&mut e, &q, 2).iter().all(Vec::is_empty));
         // refill
         let id = e.insert(&[1.0; 8]).unwrap();
         assert_eq!(id, 12);
         assert_eq!(e.len(), 1);
-        let top = e.row_top_k(&q, 1);
-        assert!(top.lists.iter().all(|l| l.len() == 1 && l[0].id == 12));
+        assert!(top_k(&mut e, &q, 1).iter().all(|l| l.len() == 1 && l[0].id == 12));
         check_invariants(&e);
     }
 
@@ -988,14 +842,13 @@ mod tests {
             v.sort_unstable();
             v
         };
-        let got = e.above_theta(&queries, theta);
-        assert_eq!(canonical_pairs(&got.entries), expect);
+        assert_eq!(above(&mut e, &queries, theta), expect);
 
         // Row-Top-k: compare score multisets per query.
         let k = 5;
         let (naive_topk, _) = Naive.row_top_k(&queries, &store, k);
-        let dynamic_topk = e.row_top_k(&queries, k);
-        assert!(lemp_baselines::types::topk_equivalent(&dynamic_topk.lists, &naive_topk, 1e-9));
+        let dynamic_topk = top_k(&mut e, &queries, k);
+        assert!(lemp_baselines::types::topk_equivalent(&dynamic_topk, &naive_topk, 1e-9));
     }
 
     #[test]
@@ -1049,11 +902,11 @@ mod tests {
             e.remove(id);
         }
         let queries = fixture(10, 13);
-        let before = canonical_pairs(&e.above_theta(&queries, 1.5).entries);
+        let before = above(&mut e, &queries, 1.5);
         let frag_before = e.fragmentation();
         e.rebuild();
         check_invariants(&e);
-        let after = canonical_pairs(&e.above_theta(&queries, 1.5).entries);
+        let after = above(&mut e, &queries, 1.5);
         assert_eq!(before, after, "rebuild changed query results");
         assert!(
             e.fragmentation() <= frag_before + 1e-12,
@@ -1109,9 +962,7 @@ mod tests {
         }
         // identical answers and continued edits
         let queries = fixture(10, 22);
-        let a = e.above_theta(&queries, 1.0);
-        let b = loaded.above_theta(&queries, 1.0);
-        assert_eq!(canonical_pairs(&a.entries), canonical_pairs(&b.entries));
+        assert_eq!(above(&mut e, &queries, 1.0), above(&mut loaded, &queries, 1.0));
         let id_e = e.insert(&[1.0; 8]).unwrap();
         let id_l = loaded.insert(&[1.0; 8]).unwrap();
         assert_eq!(id_e, id_l, "id watermark diverged after load");
@@ -1144,9 +995,7 @@ mod tests {
         }
         assert!(loaded.memory_usage().quantized_bytes > 0);
         let queries = fixture(10, 27);
-        let x = e.above_theta(&queries, 1.0);
-        let y = loaded.above_theta(&queries, 1.0);
-        assert_eq!(canonical_pairs(&x.entries), canonical_pairs(&y.entries));
+        assert_eq!(above(&mut e, &queries, 1.0), above(&mut loaded, &queries, 1.0));
     }
 
     #[test]
@@ -1212,9 +1061,8 @@ mod tests {
                 v.sort_unstable();
                 v
             };
-            let got = e.above_theta(&queries, 1.5);
             assert_eq!(
-                canonical_pairs(&got.entries),
+                above(&mut e, &queries, 1.5),
                 expect_pairs,
                 "{} diverges after edits",
                 variant.name()

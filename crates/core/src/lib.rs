@@ -46,8 +46,11 @@
 //!
 //! # The unified query surface
 //!
-//! Beyond the convenience methods above, every retrieval problem flows
-//! through one planned pipeline (see [`plan`]): a [`QueryRequest`]
+//! The two methods above are the paper's one-shot batch driver on a cold
+//! engine. Every other query — |Above-θ|, floored Row-Top-k, adaptive and
+//! chunked execution, and any query on a warmed, dynamic or sharded
+//! engine — flows through one planned pipeline (see [`plan`]): a
+//! [`QueryRequest`]
 //! compiles via [`Engine::plan`] into a [`QueryPlan`] (per-bucket
 //! algorithm assignment from the tuned `t_b`/`φ_b`) and executes through
 //! [`Engine::execute`] with a caller-owned [`Scratch`]. [`Lemp`],
@@ -76,8 +79,7 @@ pub mod telemetry;
 pub mod tuner;
 pub mod variant;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveReport, AdaptiveSelector, BanditPolicy};
-pub use algos::MethodScratch;
+pub use adaptive::{AdaptiveConfig, AdaptiveReport, BanditPolicy};
 pub use bucket::{Bucket, BucketPolicy, MemoryUsage, ProbeBuckets};
 pub use dynamic::DynamicLemp;
 pub use exec::RunConfig;
@@ -89,12 +91,13 @@ pub use plan::{
 };
 pub use quant::{PqCodebook, QuantCodes, QuantizedBucket, QueryLut};
 pub use runner::{AboveThetaOutput, MethodMix, RunStats, TopKOutput};
-pub use shard::{ShardPolicy, ShardScratch, ShardedLemp};
+pub use shard::{ShardPolicy, ShardedLemp};
 pub use stream::column_top_k;
 pub use telemetry::{NullSink, TelemetrySink};
 pub use variant::{LempVariant, TunedParams};
 
 use algos::blsh_bucket::MinMatchTable;
+use algos::MethodScratch;
 use lemp_linalg::VectorStore;
 
 /// What a [`Lemp::warm`] (or [`DynamicLemp::warm`]) call tunes for. The
@@ -116,7 +119,8 @@ pub struct WarmReport {
     pub indexes_built: u64,
     /// Nanoseconds spent building indexes.
     pub build_ns: u64,
-    /// Nanoseconds spent in the Sec. 4.4 tuner.
+    /// Nanoseconds spent in the Sec. 4.4 tuner, net of the index builds
+    /// it triggers while timing methods (those count in `build_ns`).
     pub tune_ns: u64,
 }
 
@@ -149,20 +153,22 @@ impl WarmState {
             WarmGoal::Above(theta) => tuner::TuneGoal::Above(theta),
         };
         let tuning = tuner::tune(buckets, &batch, &tune_goal, config, &mut scratch, &mut clock);
+        // As in the one-shot drivers: the tuner's own index builds are
+        // build time, not tuning time.
+        let tune_ns = tuning.tune_ns.saturating_sub(clock.ns);
         runner::prebuild_all(buckets, config, &tuning.per_bucket, &mut clock);
         let state = WarmState {
             per_bucket: tuning.per_bucket,
             blsh_table: runner::make_blsh_table(config),
         };
-        let report =
-            WarmReport { indexes_built: clock.built, build_ns: clock.ns, tune_ns: tuning.tune_ns };
+        let report = WarmReport { indexes_built: clock.built, build_ns: clock.ns, tune_ns };
         (state, report)
     }
 }
 
 /// **|Above-θ|** on top of any Above-θ runner: one pass as-is, one pass
 /// over sign-flipped queries (exact negations), results merged with their
-/// true signed values. Shared by the static/dynamic, lazy/shared variants.
+/// true signed values. Shared by the single-engine and sharded executors.
 pub(crate) fn abs_above_theta_via(
     queries: &VectorStore,
     theta: f64,
@@ -192,31 +198,31 @@ pub(crate) fn abs_above_theta_via(
 ///
 /// # Sharing the engine across threads
 ///
-/// Every query entry point comes in two flavors. The `&mut self`
-/// convenience methods ([`Lemp::above_theta`], [`Lemp::row_top_k`], …)
-/// tune and build indexes lazily inside the call — ideal for one-shot
-/// batch runs. A long-lived service instead calls [`Lemp::warm`] once to
-/// force tuning and index materialization, after which the `*_shared`
-/// methods ([`Lemp::above_theta_shared`], [`Lemp::row_top_k_shared`], …)
-/// answer queries through `&self` with a caller-owned [`MethodScratch`],
-/// so one engine serves any number of threads concurrently:
+/// [`Lemp::above_theta`] and [`Lemp::row_top_k`] take `&mut self`: on a
+/// cold engine they tune and build indexes inside the call — ideal for
+/// one-shot batch runs. A long-lived service instead calls [`Lemp::warm`]
+/// once to force tuning and index materialization, after which the
+/// [`Engine`] trait answers queries through `&self` with a caller-owned
+/// [`Scratch`], so one engine serves any number of threads concurrently:
 ///
 /// ```
-/// use lemp_core::{Lemp, WarmGoal};
+/// use lemp_core::{Engine, Lemp, QueryRequest, WarmGoal};
 /// use lemp_linalg::VectorStore;
 ///
 /// let probes = VectorStore::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]).unwrap();
 /// let queries = VectorStore::from_rows(&[vec![3.0, 1.0]]).unwrap();
 /// let mut engine = Lemp::new(&probes);
 /// engine.warm(&queries, WarmGoal::TopK(1));
+/// let engine: &dyn Engine = &engine;
+/// let plan = engine.plan(&QueryRequest::top_k(1));
 /// std::thread::scope(|s| {
 ///     for _ in 0..4 {
 ///         // shared borrows only — no locking needed
-///         let (engine, queries) = (&engine, &queries);
+///         let (plan, queries) = (&plan, &queries);
 ///         s.spawn(move || {
-///             let mut scratch = engine.make_scratch();
-///             let top = engine.row_top_k_shared(queries, 1, &mut scratch);
-///             assert_eq!(top.lists[0][0].id, 0);
+///             let mut scratch = engine.query_scratch();
+///             let top = engine.execute(plan, queries, &mut scratch);
+///             assert_eq!(top.lists().unwrap()[0][0].id, 0);
 ///         });
 ///     }
 /// });
@@ -353,12 +359,13 @@ impl Lemp {
     /// Sec. 4.4 tuner on `sample` for `goal` and force-builds every
     /// bucket's indexes (the variant's method at the largest reachable
     /// local threshold, plus both sorted-list layouts for the adaptive arm
-    /// menu). Afterwards the `*_shared` methods answer queries without any
-    /// mutable access, so one engine can serve many threads concurrently.
+    /// menu). Afterwards [`Engine::plan`]/[`Engine::execute`] answer
+    /// queries without any mutable access, so one engine can serve many
+    /// threads concurrently.
     ///
     /// Warming again (e.g. with a different goal) re-tunes but reuses all
-    /// existing indexes. After a warm-up the `&mut` convenience wrappers
-    /// become thin shims over the shared path.
+    /// existing indexes. After a warm-up [`Lemp::above_theta`] and
+    /// [`Lemp::row_top_k`] become thin shims over [`Engine::run`].
     ///
     /// # Panics
     /// If the sample dimensionality differs from the probe dimensionality.
@@ -368,14 +375,15 @@ impl Lemp {
         report
     }
 
-    /// Whether [`Lemp::warm`] has run (the `*_shared` methods are usable).
+    /// Whether [`Lemp::warm`] has run ([`Engine::plan`]/[`Engine::execute`]
+    /// are usable).
     pub fn is_warm(&self) -> bool {
         self.warm.is_some()
     }
 
-    /// A [`MethodScratch`] sized for this engine's largest bucket, for use
-    /// with the `*_shared` methods (one per querying thread).
-    pub fn make_scratch(&self) -> MethodScratch {
+    /// Method scratch sized for this engine's largest bucket (wrapped into
+    /// a [`Scratch`] by [`Engine::query_scratch`]).
+    pub(crate) fn make_scratch(&self) -> MethodScratch {
         MethodScratch::new(runner::max_bucket_len(&self.buckets))
     }
 
@@ -385,321 +393,34 @@ impl Lemp {
             .unwrap_or_else(|| panic!("{caller} requires a warmed engine: call Lemp::warm first"))
     }
 
-    /// The unified execution core behind every `*_shared` entry point:
-    /// builds the prepared view from the warm state and hands the request
-    /// to [`plan::run_request_single`] — one code path for all five
-    /// methods (plus their adaptive/chunked variants).
-    fn shared_request(
-        &self,
-        caller: &str,
-        request: &QueryRequest,
-        queries: &VectorStore,
-        scratch: &mut MethodScratch,
-        selector: Option<&mut AdaptiveSelector>,
-    ) -> QueryResponse {
-        let warm = self.warm_state(caller);
-        let parts = plan::SinglePrepared {
-            buckets: &self.buckets,
-            config: &self.config,
-            per_bucket: &warm.per_bucket,
-            blsh: warm.blsh_table.as_ref(),
-        };
-        plan::run_request_single(&parts, request, queries, scratch, selector)
-    }
-
-    /// [`Lemp::above_theta`] through `&self` over a warmed engine, with a
-    /// caller-owned scratch — safe to call from many threads concurrently.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`Lemp::warm`]) or on query/probe
-    /// dimensionality mismatch.
-    pub fn above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut MethodScratch,
-    ) -> AboveThetaOutput {
-        self.shared_request(
-            "above_theta_shared",
-            &QueryRequest::above_theta(theta),
-            queries,
-            scratch,
-            None,
-        )
-        .into_above()
-    }
-
-    /// [`Lemp::row_top_k`] through `&self` over a warmed engine, with a
-    /// caller-owned scratch — safe to call from many threads concurrently.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`Lemp::warm`]) or on query/probe
-    /// dimensionality mismatch.
-    pub fn row_top_k_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        scratch: &mut MethodScratch,
-    ) -> TopKOutput {
-        self.row_top_k_with_floor_shared(queries, k, f64::NEG_INFINITY, scratch)
-    }
-
-    /// [`Lemp::row_top_k_with_floor`] through `&self` over a warmed engine.
-    ///
-    /// # Panics
-    /// If the engine is not warmed ([`Lemp::warm`]) or on query/probe
-    /// dimensionality mismatch.
-    pub fn row_top_k_with_floor_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        floor: f64,
-        scratch: &mut MethodScratch,
-    ) -> TopKOutput {
-        self.shared_request(
-            "row_top_k_with_floor_shared",
-            &QueryRequest::top_k_with_floor(k, floor),
-            queries,
-            scratch,
-            None,
-        )
-        .into_top_k()
-    }
-
-    /// [`Lemp::abs_above_theta`] through `&self` over a warmed engine.
-    ///
-    /// # Panics
-    /// If `theta ≤ 0`, the engine is not warmed, or on dimensionality
-    /// mismatch.
-    pub fn abs_above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut MethodScratch,
-    ) -> AboveThetaOutput {
-        self.shared_request(
-            "abs_above_theta_shared",
-            &QueryRequest::abs_above_theta(theta),
-            queries,
-            scratch,
-            None,
-        )
-        .into_above()
-    }
-
-    /// [`Lemp::above_theta_adaptive_with`] through `&self` over a warmed
-    /// engine (the selector carries the learning state; the engine is only
-    /// read). Concurrent callers need distinct selectors or external
-    /// synchronization of one.
-    ///
-    /// # Panics
-    /// If the engine is not warmed, the selector was sized for a different
-    /// bucketization, or on dimensionality mismatch.
-    pub fn above_theta_adaptive_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        selector: &mut AdaptiveSelector,
-        scratch: &mut MethodScratch,
-    ) -> AboveThetaOutput {
-        self.shared_request(
-            "above_theta_adaptive_shared",
-            &QueryRequest::above_theta(theta),
-            queries,
-            scratch,
-            Some(selector),
-        )
-        .into_above()
-    }
-
-    /// [`Lemp::row_top_k_adaptive_with`] through `&self` over a warmed
-    /// engine.
-    ///
-    /// # Panics
-    /// Same conditions as [`Lemp::above_theta_adaptive_shared`].
-    pub fn row_top_k_adaptive_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        selector: &mut AdaptiveSelector,
-        scratch: &mut MethodScratch,
-    ) -> TopKOutput {
-        self.shared_request(
-            "row_top_k_adaptive_shared",
-            &QueryRequest::top_k(k),
-            queries,
-            scratch,
-            Some(selector),
-        )
-        .into_top_k()
-    }
-
     /// Solves **Above-θ**: all entries of `QᵀP` that are ≥ `theta`.
+    ///
+    /// On a cold engine this is the paper's one-shot batch driver: it tunes
+    /// on the batch itself and builds indexes only for the buckets the
+    /// batch can reach. On a warmed engine it is [`Engine::run`].
     ///
     /// # Panics
     /// If the query dimensionality differs from the probe dimensionality.
     pub fn above_theta(&mut self, queries: &VectorStore, theta: f64) -> AboveThetaOutput {
         if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.above_theta_shared(queries, theta, &mut scratch);
+            let mut scratch = self.query_scratch();
+            return self.run(&QueryRequest::above_theta(theta), queries, &mut scratch).into_above();
         }
         runner::above_theta(&mut self.buckets, queries, theta, &self.config)
     }
 
     /// Solves **Row-Top-k**: for each query row, the `k` probes with the
     /// largest inner products (ties broken deterministically by probe id).
+    /// Cold and warm behave as in [`Lemp::above_theta`].
     ///
     /// # Panics
     /// If the query dimensionality differs from the probe dimensionality.
     pub fn row_top_k(&mut self, queries: &VectorStore, k: usize) -> TopKOutput {
         if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.row_top_k_shared(queries, k, &mut scratch);
+            let mut scratch = self.query_scratch();
+            return self.run(&QueryRequest::top_k(k), queries, &mut scratch).into_top_k();
         }
         runner::row_top_k(&mut self.buckets, queries, k, &self.config)
-    }
-
-    /// Solves **|Above-θ|**: all entries of `QᵀP` with `|qᵀp| ≥ theta`
-    /// (`theta > 0`). The paper's open-information-extraction motivation
-    /// asks for both directions: strongly positive entries are
-    /// high-confidence facts, strongly negative ones are "unlikely facts"
-    /// (Sec. 1). Implemented as two exact Above-θ passes — the second over
-    /// sign-flipped queries, whose inner products are the exact negations —
-    /// so the result is bit-exact, with entries carrying their true signed
-    /// values.
-    ///
-    /// # Panics
-    /// If `theta ≤ 0` (the two-sided problem is only meaningful above 0;
-    /// Problem 1 in the paper makes the same assumption) or on query/probe
-    /// dimensionality mismatch.
-    pub fn abs_above_theta(&mut self, queries: &VectorStore, theta: f64) -> AboveThetaOutput {
-        abs_above_theta_via(queries, theta, |q| self.above_theta(q, theta))
-    }
-
-    /// **Row-Top-k with a score floor**: for each query, the up-to-`k`
-    /// probes with the largest inner products *among those with
-    /// `qᵀp ≥ floor`* — the recommender-system cut-off ("top-k items, but
-    /// only if actually relevant"). Unlike filtering the plain top-k
-    /// afterwards, the floor feeds the driver's running threshold `θ′`
-    /// from below, so high floors prune buckets instead of scanning them.
-    /// `floor = f64::NEG_INFINITY` is exactly [`Lemp::row_top_k`].
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn row_top_k_with_floor(
-        &mut self,
-        queries: &VectorStore,
-        k: usize,
-        floor: f64,
-    ) -> TopKOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.row_top_k_with_floor_shared(queries, k, floor, &mut scratch);
-        }
-        runner::row_top_k_floor(&mut self.buckets, queries, k, floor, &self.config)
-    }
-
-    /// **Above-θ with online (bandit) algorithm selection** — the paper's
-    /// Sec. 4.4 outlook ("some form of reinforcement learning") instead of
-    /// the sample-based tuner. Results are identical to any exact variant;
-    /// only the time spent differs. Returns the output plus a report of
-    /// what each per-(bucket, θ_b-bin) bandit learned. Serial.
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn above_theta_adaptive(
-        &mut self,
-        queries: &VectorStore,
-        theta: f64,
-        acfg: &AdaptiveConfig,
-    ) -> (AboveThetaOutput, AdaptiveReport) {
-        adaptive::above_theta_adaptive(&mut self.buckets, queries, theta, &self.config, acfg)
-    }
-
-    /// [`Lemp::above_theta_adaptive`] for Row-Top-k workloads.
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn row_top_k_adaptive(
-        &mut self,
-        queries: &VectorStore,
-        k: usize,
-        acfg: &AdaptiveConfig,
-    ) -> (TopKOutput, AdaptiveReport) {
-        adaptive::row_top_k_adaptive(&mut self.buckets, queries, k, &self.config, acfg)
-    }
-
-    /// A fresh [`AdaptiveSelector`] sized for this engine's bucketization,
-    /// for use with the warm-state drivers
-    /// ([`Lemp::above_theta_adaptive_with`] /
-    /// [`Lemp::row_top_k_adaptive_with`]).
-    pub fn adaptive_selector(&self, acfg: &AdaptiveConfig) -> AdaptiveSelector {
-        AdaptiveSelector::new(*acfg, self.buckets.bucket_count(), self.buckets.dim())
-    }
-
-    /// [`Lemp::above_theta_adaptive`] with **caller-owned learning state**:
-    /// the selector keeps its arm statistics across calls, so a long-lived
-    /// service pays the exploration warm-up once and exploits thereafter.
-    /// Obtain the selector from [`Lemp::adaptive_selector`]; inspect what it
-    /// learned at any time via [`AdaptiveSelector::report`].
-    ///
-    /// # Panics
-    /// On dimensionality mismatch, or if the selector was sized for a
-    /// different bucketization (e.g. another engine).
-    pub fn above_theta_adaptive_with(
-        &mut self,
-        queries: &VectorStore,
-        theta: f64,
-        selector: &mut AdaptiveSelector,
-    ) -> AboveThetaOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.above_theta_adaptive_shared(queries, theta, selector, &mut scratch);
-        }
-        adaptive::above_theta_adaptive_with(
-            &mut self.buckets,
-            queries,
-            theta,
-            &self.config,
-            selector,
-        )
-    }
-
-    /// [`Lemp::above_theta_adaptive_with`] for Row-Top-k workloads.
-    ///
-    /// # Panics
-    /// On dimensionality mismatch, or if the selector was sized for a
-    /// different bucketization.
-    pub fn row_top_k_adaptive_with(
-        &mut self,
-        queries: &VectorStore,
-        k: usize,
-        selector: &mut AdaptiveSelector,
-    ) -> TopKOutput {
-        if self.warm.is_some() {
-            let mut scratch = self.make_scratch();
-            return self.row_top_k_adaptive_shared(queries, k, selector, &mut scratch);
-        }
-        adaptive::row_top_k_adaptive_with(&mut self.buckets, queries, k, &self.config, selector)
-    }
-
-    /// Runs only the Sec. 4.4 sample-based tuner for an Above-θ workload
-    /// and returns the chosen per-bucket parameters (aligned with
-    /// [`Lemp::buckets`]), without executing the retrieval. Intended for
-    /// inspection and ablation tooling.
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn tune_above(&mut self, queries: &VectorStore, theta: f64) -> Vec<TunedParams> {
-        self.tune(queries, tuner::TuneGoal::Above(theta))
-    }
-
-    /// [`Lemp::tune_above`] for a Row-Top-k workload.
-    ///
-    /// # Panics
-    /// If the query dimensionality differs from the probe dimensionality.
-    pub fn tune_top_k(&mut self, queries: &VectorStore, k: usize) -> Vec<TunedParams> {
-        self.tune(queries, tuner::TuneGoal::TopK(k))
     }
 
     /// Reassembles an engine from preprocessed parts (persistence).
@@ -711,16 +432,6 @@ impl Lemp {
     /// ([`DynamicLemp::from_engine`] reuses a loaded static engine).
     pub(crate) fn into_parts(self) -> (ProbeBuckets, RunConfig) {
         (self.buckets, self.config)
-    }
-
-    fn tune(&mut self, queries: &VectorStore, goal: tuner::TuneGoal) -> Vec<TunedParams> {
-        assert_eq!(queries.dim(), self.buckets.dim(), "query/probe dimensionality mismatch");
-        let batch = query::QueryBatch::build(queries);
-        let cap = self.buckets.buckets().iter().map(Bucket::len).max().unwrap_or(0);
-        let mut scratch = algos::MethodScratch::new(cap);
-        let mut clock = exec::BuildClock::default();
-        tuner::tune(&mut self.buckets, &batch, &goal, &self.config, &mut scratch, &mut clock)
-            .per_bucket
     }
 }
 
@@ -735,6 +446,13 @@ mod tests {
         let q = GeneratorConfig::gaussian(m, 10, cov).generate(seed);
         let p = GeneratorConfig::gaussian(n, 10, cov).generate(seed + 1);
         (q, p)
+    }
+
+    /// Warms `engine` on `queries` for `request` and runs it.
+    fn run_warm(engine: &mut Lemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+        engine.warm(queries, request.kind.warm_goal());
+        let mut scratch = engine.query_scratch();
+        engine.run(&request, queries, &mut scratch)
     }
 
     #[test]
@@ -906,7 +624,7 @@ mod tests {
         }
         expect.sort_unstable();
         let mut engine = Lemp::builder().sample_size(8).build(&p);
-        let out = engine.abs_above_theta(&q, theta);
+        let out = run_warm(&mut engine, &q, QueryRequest::abs_above_theta(theta)).into_above();
         assert_eq!(canonical_pairs(&out.entries), expect);
         // Both signs must actually occur for the fixture to mean anything.
         assert!(out.entries.iter().any(|e| e.value >= theta));
@@ -925,7 +643,9 @@ mod tests {
     fn abs_above_theta_rejects_nonpositive_theta() {
         let (q, p) = data(5, 20, 0.5, 1100);
         let mut engine = Lemp::new(&p);
-        let _ = engine.abs_above_theta(&q, 0.0);
+        engine.warm(&q, WarmGoal::TopK(1));
+        let mut scratch = engine.query_scratch();
+        let _ = engine.run(&QueryRequest::abs_above_theta(0.0), &q, &mut scratch);
     }
 
     #[test]
@@ -956,7 +676,8 @@ mod tests {
         }
         for threads in [1usize, 4] {
             let mut engine = Lemp::builder().sample_size(8).threads(threads).build(&p);
-            let out = engine.row_top_k_with_floor(&q, k, floor);
+            let out =
+                run_warm(&mut engine, &q, QueryRequest::top_k_with_floor(k, floor)).into_top_k();
             for (i, list) in out.lists.iter().enumerate() {
                 assert_eq!(list.len(), expect[i].len(), "query {i} ({threads} threads)");
                 for (item, &(id, v)) in list.iter().zip(&expect[i]) {
@@ -972,8 +693,10 @@ mod tests {
     fn top_k_with_neg_infinity_floor_is_plain_top_k() {
         let (q, p) = data(20, 150, 0.8, 1300);
         let mut engine = Lemp::builder().sample_size(8).build(&p);
-        let plain = engine.row_top_k(&q, 4);
-        let floored = engine.row_top_k_with_floor(&q, 4, f64::NEG_INFINITY);
+        let plain = run_warm(&mut engine, &q, QueryRequest::top_k(4)).into_top_k();
+        let floored =
+            run_warm(&mut engine, &q, QueryRequest::top_k_with_floor(4, f64::NEG_INFINITY))
+                .into_top_k();
         assert!(topk_equivalent(&plain.lists, &floored.lists, 1e-9));
     }
 
@@ -981,7 +704,7 @@ mod tests {
     fn top_k_with_unreachable_floor_is_empty_and_cheap() {
         let (q, p) = data(20, 150, 0.8, 1400);
         let mut engine = Lemp::builder().sample_size(8).build(&p);
-        let out = engine.row_top_k_with_floor(&q, 4, 1e12);
+        let out = run_warm(&mut engine, &q, QueryRequest::top_k_with_floor(4, 1e12)).into_top_k();
         assert!(out.lists.iter().all(Vec::is_empty));
         // The floor prunes every bucket after seeding: only the k warm-up
         // inner products per query are ever computed.

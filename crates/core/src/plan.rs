@@ -29,8 +29,19 @@
 //! results. The engine-trait conformance suite
 //! (`crates/core/tests/engine_conformance.rs`) pins this down by running
 //! every [`QueryKind`] × [`ExecOptions`] combination through `dyn Engine`
-//! for all three engines and comparing bit-for-bit against the direct
-//! entry points and the naive baseline.
+//! for all three engines: each result must match the naive baseline, the
+//! unsharded, one-shard and three-shard engines must agree bit for bit,
+//! and so must streamed chunked, materialized chunked and monolithic
+//! execution.
+//!
+//! # Streaming
+//!
+//! A chunked request ([`QueryRequest::chunked`]) runs block by block.
+//! [`Engine::execute_stream`] hands each block's [`QueryResponse`] to a
+//! caller sink as soon as it is done, so peak memory is bounded by the
+//! block; [`Engine::execute`] is the same loop plus a collector. Both are
+//! provided by the trait: a backend implements only the one-block step
+//! [`Engine::execute_block`], so chunking is dispatched in one place.
 //!
 //! # Example
 //!
@@ -54,7 +65,7 @@
 use lemp_baselines::types::Entry;
 use lemp_linalg::VectorStore;
 
-use crate::adaptive::{self, AdaptiveConfig, AdaptiveSelector};
+use crate::adaptive::{self, AdaptiveConfig, AdaptiveReport, AdaptiveSelector};
 use crate::algos::blsh_bucket::MinMatchTable;
 use crate::algos::MethodScratch;
 use crate::bucket::ProbeBuckets;
@@ -524,6 +535,17 @@ impl Scratch {
         Self { inner: ScratchInner::Sharded(per_shard), adaptive: None }
     }
 
+    /// What the adaptive bandits have learned so far: one
+    /// [`AdaptiveReport`] per shard (one for a single engine), empty before
+    /// the first run with [`ExecOptions::adaptive`]. The learning state
+    /// persists across calls with the same [`AdaptiveConfig`], so a later
+    /// report extends an earlier one.
+    pub fn adaptive_reports(&self) -> Vec<AdaptiveReport> {
+        self.adaptive.as_ref().map_or_else(Vec::new, |slot| {
+            slot.selectors.iter().map(AdaptiveSelector::report).collect()
+        })
+    }
+
     /// (Re)materializes the adaptive selectors for the given configuration
     /// and bucketization shape; keeps existing learning state when both
     /// still match.
@@ -598,10 +620,10 @@ impl Scratch {
 /// is dyn-compatible, so `Box<dyn Engine>` / `&dyn Engine` handles carry
 /// any backend through the same `plan` → `execute` pipeline.
 ///
-/// `plan` and `execute` require a warmed engine (the same invariant as the
-/// `*_shared` entry points) and panic with a descriptive message
-/// otherwise; `execute` additionally panics when the plan or scratch was
-/// made for a different engine or an outdated bucketization.
+/// `plan` and `execute` require a warmed engine and panic with a
+/// descriptive message otherwise; `execute` additionally panics when the
+/// plan or scratch was made for a different engine or an outdated
+/// bucketization.
 pub trait Engine: Send + Sync {
     /// Compiles `request` into an executable plan from this engine's tuned
     /// warm state (see [`Planner`]).
@@ -609,8 +631,25 @@ pub trait Engine: Send + Sync {
 
     /// Executes a compiled plan over `queries` through `&self`, with a
     /// caller-owned scratch — safe to call from many threads concurrently
-    /// (one scratch each).
+    /// (one scratch each). A chunked plan is [`Engine::execute_stream`]
+    /// with its blocks collected into one response.
     fn execute(
+        &self,
+        plan: &QueryPlan,
+        queries: &VectorStore,
+        scratch: &mut Scratch,
+    ) -> QueryResponse {
+        if plan.request().options.chunk.is_some() {
+            return collect_stream(self, plan, queries, scratch);
+        }
+        self.execute_block(plan, queries, scratch)
+    }
+
+    /// Executes `plan` over `queries` as one block, ignoring
+    /// [`ExecOptions::chunk`] — the per-backend step behind
+    /// [`Engine::execute`] and [`Engine::execute_stream`], which own the
+    /// chunking. Callers use those two.
+    fn execute_block(
         &self,
         plan: &QueryPlan,
         queries: &VectorStore,
@@ -658,6 +697,37 @@ pub trait Engine: Send + Sync {
         self.execute(&plan, queries, scratch)
     }
 
+    /// Executes `plan` block by block and hands each block's response to
+    /// `sink` together with the global row of the block's first query.
+    /// Entry query ids are already global; list `i` of a block answers
+    /// query `offset + i`. Blocks are contiguous and arrive in ascending
+    /// query order, so peak memory is bounded by one block. A plan without
+    /// [`ExecOptions::chunk`] is one block at offset 0.
+    ///
+    /// # Panics
+    /// If the plan's chunk size is 0, plus the conditions of
+    /// [`Engine::execute`].
+    fn execute_stream(
+        &self,
+        plan: &QueryPlan,
+        queries: &VectorStore,
+        scratch: &mut Scratch,
+        sink: &mut dyn FnMut(usize, QueryResponse),
+    ) {
+        let Some(chunk) = plan.request().options.chunk else {
+            return sink(0, self.execute_block(plan, queries, scratch));
+        };
+        for_each_chunk(queries, chunk, |block, offset| {
+            let mut response = self.execute_block(plan, block, scratch);
+            if let QueryRows::Entries(entries) = &mut response.rows {
+                for e in entries {
+                    e.query += offset as u32;
+                }
+            }
+            sink(offset, response);
+        });
+    }
+
     /// [`Engine::execute`] plus one [`crate::telemetry::TelemetrySink::on_query`] call: the
     /// sink receives the plan's request, the live probe count and the
     /// response's [`RunStats`] after the run, on the executing thread.
@@ -677,9 +747,8 @@ pub trait Engine: Send + Sync {
 }
 
 /// The prepared (warmed, read-only) parts of one single-engine execution:
-/// everything the drivers need, with the per-bucket parameters supplied by
-/// the caller (the warm state for the classic entry points, a
-/// [`PlanSegment`] for the planned path).
+/// everything the drivers need, with the per-bucket parameters taken from
+/// the plan's [`PlanSegment`].
 pub(crate) struct SinglePrepared<'a> {
     pub(crate) buckets: &'a ProbeBuckets,
     pub(crate) config: &'a RunConfig,
@@ -721,18 +790,7 @@ impl SinglePrepared<'_> {
     ) -> TopKOutput {
         match selector {
             Some(sel) => {
-                let mut out =
-                    adaptive::row_top_k_adaptive_prepared(self.buckets, queries, k, sel, scratch);
-                if floor > f64::NEG_INFINITY {
-                    // Exact: any entry ≥ floor outside the plain top-k is
-                    // dominated by k entries that are themselves ≥ floor,
-                    // so filtering the plain lists *is* the floored answer.
-                    for list in &mut out.lists {
-                        list.retain(|item| item.score >= floor);
-                    }
-                    out.stats.counters.results = out.lists.iter().map(|l| l.len() as u64).sum();
-                }
-                out
+                adaptive::row_top_k_adaptive_prepared(self.buckets, queries, k, floor, sel, scratch)
             }
             None => runner::row_top_k_prepared(
                 self.buckets,
@@ -749,7 +807,7 @@ impl SinglePrepared<'_> {
 }
 
 /// Slices `queries` into blocks of `chunk` rows and hands each block (with
-/// its row offset) to `body` — the shared chunked-execution loop.
+/// its row offset) to `body` — the loop behind [`Engine::execute_stream`].
 pub(crate) fn for_each_chunk(
     queries: &VectorStore,
     chunk: usize,
@@ -768,25 +826,57 @@ pub(crate) fn for_each_chunk(
     }
 }
 
-/// The single-engine execution core behind [`Engine::execute`] for
-/// [`Lemp`]/[`crate::DynamicLemp`] *and* their classic `*_shared` entry
-/// points: one function, every kind × option combination.
-pub(crate) fn run_request_single(
-    parts: &SinglePrepared<'_>,
-    request: &QueryRequest,
+/// The materializing form of [`Engine::execute_stream`]: concatenates the
+/// blocks' rows (in query order) and merges their statistics.
+fn collect_stream<E: Engine + ?Sized>(
+    engine: &E,
+    plan: &QueryPlan,
     queries: &VectorStore,
-    scratch: &mut MethodScratch,
-    mut selector: Option<&mut AdaptiveSelector>,
+    scratch: &mut Scratch,
 ) -> QueryResponse {
-    assert_eq!(
-        parts.per_bucket.len(),
-        parts.buckets.bucket_count(),
-        "stale plan — the engine's bucketization changed since it was compiled"
-    );
-    if let Some(chunk) = request.options.chunk {
-        return run_chunked_single(parts, request, queries, chunk, scratch, selector);
-    }
-    match request.kind {
+    let mut rows = if plan.request().kind.is_above() {
+        QueryRows::Entries(Vec::new())
+    } else {
+        QueryRows::Lists(Vec::with_capacity(queries.len()))
+    };
+    let mut stats = RunStats::default();
+    engine.execute_stream(plan, queries, scratch, &mut |_, block| {
+        stats.merge(&block.stats);
+        match (&mut rows, block.rows) {
+            (QueryRows::Entries(all), QueryRows::Entries(entries)) => all.extend(entries),
+            (QueryRows::Lists(all), QueryRows::Lists(lists)) => all.extend(lists),
+            _ => unreachable!("every block answers the plan's kind"),
+        }
+    });
+    QueryResponse { rows, stats }
+}
+
+/// Shared [`Engine`] plumbing for the two single-engine backends
+/// ([`Lemp`] and [`crate::DynamicLemp`]): plan from the warm state's
+/// tuned parameters, execute through [`execute_single`].
+pub(crate) fn plan_single(engine_parts: &SinglePrepared<'_>, request: &QueryRequest) -> QueryPlan {
+    QueryPlan::new(
+        *request,
+        vec![Planner::segment(engine_parts.buckets, engine_parts.config, engine_parts.per_bucket)],
+    )
+}
+
+/// [`Engine::execute_block`] body shared by [`Lemp`] and
+/// [`crate::DynamicLemp`]: one function, every kind × adaptive combination.
+pub(crate) fn execute_single(
+    buckets: &ProbeBuckets,
+    config: &RunConfig,
+    blsh: Option<&MinMatchTable>,
+    plan: &QueryPlan,
+    queries: &VectorStore,
+    scratch: &mut Scratch,
+) -> QueryResponse {
+    let segment = plan.single_segment(buckets, "Engine::execute");
+    let adaptive =
+        plan.request().options.adaptive.map(|cfg| (cfg, buckets.bucket_count(), buckets.dim()));
+    let (scratch, mut selector) = scratch.single_parts("Engine::execute", adaptive);
+    let parts = SinglePrepared { buckets, config, per_bucket: segment.params(), blsh };
+    match plan.request().kind {
         QueryKind::AboveTheta { theta } => {
             QueryResponse::from_above(parts.above_once(queries, theta, scratch, &mut selector))
         }
@@ -808,82 +898,6 @@ pub(crate) fn run_request_single(
     }
 }
 
-fn run_chunked_single(
-    parts: &SinglePrepared<'_>,
-    request: &QueryRequest,
-    queries: &VectorStore,
-    chunk: usize,
-    scratch: &mut MethodScratch,
-    mut selector: Option<&mut AdaptiveSelector>,
-) -> QueryResponse {
-    run_chunked_with(request, queries, chunk, |inner, block| {
-        run_request_single(parts, inner, block, scratch, selector.as_deref_mut())
-    })
-}
-
-/// The shared chunked-execution driver: strips the chunk option, runs
-/// `run_block` per query block, re-offsets entry query ids, and merges the
-/// per-block statistics. One loop for the single-engine and sharded paths.
-pub(crate) fn run_chunked_with(
-    request: &QueryRequest,
-    queries: &VectorStore,
-    chunk: usize,
-    mut run_block: impl FnMut(&QueryRequest, &VectorStore) -> QueryResponse,
-) -> QueryResponse {
-    let inner = QueryRequest {
-        kind: request.kind,
-        options: ExecOptions { chunk: None, ..request.options },
-    };
-    let mut stats = RunStats::default();
-    if request.kind.is_above() {
-        let mut entries: Vec<Entry> = Vec::new();
-        for_each_chunk(queries, chunk, |block, offset| {
-            let out = run_block(&inner, block).into_above();
-            entries.extend(out.entries.into_iter().map(|mut e| {
-                e.query += offset as u32;
-                e
-            }));
-            stats.merge(&out.stats);
-        });
-        QueryResponse { rows: QueryRows::Entries(entries), stats }
-    } else {
-        let mut lists = Vec::with_capacity(queries.len());
-        for_each_chunk(queries, chunk, |block, _| {
-            let out = run_block(&inner, block).into_top_k();
-            lists.extend(out.lists);
-            stats.merge(&out.stats);
-        });
-        QueryResponse { rows: QueryRows::Lists(lists), stats }
-    }
-}
-
-/// Shared [`Engine`] plumbing for the two single-engine backends
-/// ([`Lemp`] and [`crate::DynamicLemp`]): plan from the warm state's
-/// tuned parameters, execute through [`run_request_single`].
-pub(crate) fn plan_single(engine_parts: &SinglePrepared<'_>, request: &QueryRequest) -> QueryPlan {
-    QueryPlan::new(
-        *request,
-        vec![Planner::segment(engine_parts.buckets, engine_parts.config, engine_parts.per_bucket)],
-    )
-}
-
-/// [`Engine::execute`] body shared by [`Lemp`] and [`crate::DynamicLemp`].
-pub(crate) fn execute_single(
-    buckets: &ProbeBuckets,
-    config: &RunConfig,
-    blsh: Option<&MinMatchTable>,
-    plan: &QueryPlan,
-    queries: &VectorStore,
-    scratch: &mut Scratch,
-) -> QueryResponse {
-    let segment = plan.single_segment(buckets, "Engine::execute");
-    let adaptive =
-        plan.request().options.adaptive.map(|cfg| (cfg, buckets.bucket_count(), buckets.dim()));
-    let (method_scratch, selector) = scratch.single_parts("Engine::execute", adaptive);
-    let parts = SinglePrepared { buckets, config, per_bucket: segment.params(), blsh };
-    run_request_single(&parts, plan.request(), queries, method_scratch, selector)
-}
-
 impl Engine for Lemp {
     fn plan(&self, request: &QueryRequest) -> QueryPlan {
         let warm = self.warm_state("Engine::plan");
@@ -898,7 +912,7 @@ impl Engine for Lemp {
         )
     }
 
-    fn execute(
+    fn execute_block(
         &self,
         plan: &QueryPlan,
         queries: &VectorStore,
@@ -1052,19 +1066,39 @@ mod tests {
     fn adaptive_state_persists_across_calls_and_rebuilds_on_config_change() {
         let (q, engine) = warmed(200, 47);
         let mut scratch = engine.query_scratch();
+        assert!(scratch.adaptive_reports().is_empty(), "no report before an adaptive run");
         let cfg = AdaptiveConfig::default();
         let request = QueryRequest::top_k(3).adaptive(cfg);
-        let _ = Engine::run(&engine, &request, &q, &mut scratch);
-        let pulls_after_first = scratch.adaptive.as_ref().unwrap().selectors[0].total_pulls();
-        assert!(pulls_after_first > 0);
-        let _ = Engine::run(&engine, &request, &q, &mut scratch);
-        let pulls_after_second = scratch.adaptive.as_ref().unwrap().selectors[0].total_pulls();
-        assert!(pulls_after_second > pulls_after_first, "learning must persist");
+        let plan = engine.plan(&request);
+        let first = engine.execute(&plan, &q, &mut scratch);
+        let after_first = scratch.adaptive_reports();
+        assert_eq!(after_first.len(), 1, "one report per shard");
+        assert!(after_first[0].total_pulls() > 0);
+        assert_eq!(after_first[0].total_pulls(), first.stats.method_mix.total());
+        let second = engine.execute(&plan, &q, &mut scratch);
+        let after_second = scratch.adaptive_reports();
+        assert_eq!(
+            after_second[0].total_pulls(),
+            first.stats.method_mix.total() + second.stats.method_mix.total(),
+            "learning must persist: the report counts both calls"
+        );
+        // The second report extends the first arm by arm.
+        for (b1, b2) in after_first[0].buckets.iter().zip(&after_second[0].buckets) {
+            for (bin1, bin2) in b1.iter().zip(b2) {
+                for (a1, a2) in bin1.arms.iter().zip(&bin2.arms) {
+                    assert!(a2.pulls >= a1.pulls && a2.total_ns >= a1.total_ns);
+                }
+            }
+        }
         // A different configuration rebuilds the learning state.
         let other = QueryRequest::top_k(3)
             .adaptive(AdaptiveConfig { theta_bins: 2, ..AdaptiveConfig::default() });
-        let _ = Engine::run(&engine, &other, &q, &mut scratch);
-        let pulls_after_rebuild = scratch.adaptive.as_ref().unwrap().selectors[0].total_pulls();
-        assert!(pulls_after_rebuild < pulls_after_second, "config change must reset learning");
+        let third = Engine::run(&engine, &other, &q, &mut scratch);
+        let after_rebuild = scratch.adaptive_reports();
+        assert_eq!(after_rebuild[0].total_pulls(), third.stats.method_mix.total());
+        assert!(
+            after_rebuild[0].total_pulls() < after_second[0].total_pulls(),
+            "config change must reset learning"
+        );
     }
 }

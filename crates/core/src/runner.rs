@@ -644,25 +644,12 @@ fn topk_one_query(
     top.drain_sorted()
 }
 
-/// Runs Row-Top-k over preprocessed buckets.
+/// Runs Row-Top-k over preprocessed buckets (the one-shot driver: tunes on
+/// the batch and builds indexes lazily).
 pub(crate) fn row_top_k(
     buckets: &mut ProbeBuckets,
     queries: &VectorStore,
     k: usize,
-    cfg: &RunConfig,
-) -> TopKOutput {
-    row_top_k_floor(buckets, queries, k, f64::NEG_INFINITY, cfg)
-}
-
-/// Row-Top-k restricted to entries with `qᵀp ≥ floor` (lists may come back
-/// shorter than `k`). The floor feeds the running `θ′` from below, so it
-/// *prunes* — high floors skip buckets entirely instead of filtering
-/// afterwards. `floor = −∞` is exactly the plain Row-Top-k problem.
-pub(crate) fn row_top_k_floor(
-    buckets: &mut ProbeBuckets,
-    queries: &VectorStore,
-    k: usize,
-    floor: f64,
     cfg: &RunConfig,
 ) -> TopKOutput {
     assert_eq!(queries.dim(), buckets.dim(), "query/probe dimensionality mismatch");
@@ -693,7 +680,6 @@ pub(crate) fn row_top_k_floor(
                 buckets,
                 &batch,
                 k,
-                floor,
                 cfg,
                 &tuning,
                 blsh_table.as_ref(),
@@ -718,7 +704,7 @@ pub(crate) fn row_top_k_floor(
                 buckets,
                 &batch,
                 k,
-                floor,
+                f64::NEG_INFINITY,
                 cfg,
                 &tuning.per_bucket,
                 blsh_table.as_ref(),
@@ -753,7 +739,6 @@ fn serial_topk(
     buckets: &mut ProbeBuckets,
     batch: &QueryBatch,
     k: usize,
-    floor: f64,
     cfg: &RunConfig,
     tuning: &Tuning,
     blsh_table: Option<&MinMatchTable>,
@@ -771,8 +756,7 @@ fn serial_topk(
     // grow, so a bucket pruned at seed time stays pruned.
     for qi in 0..batch.len() {
         let dir = batch.dirs.vector(qi);
-        let floor_scaled = floor_scaled_for(floor, batch.lengths[qi]);
-        let theta_seed = tuner::seed_threshold(buckets, dir, k).max(floor_scaled);
+        let theta_seed = tuner::seed_threshold(buckets, dir, k);
         for b in 0..buckets.bucket_count() {
             let max_len = buckets.buckets()[b].max_len;
             if max_len <= 0.0 {
@@ -794,7 +778,7 @@ fn serial_topk(
             qi,
             qi + 1,
             k,
-            floor,
+            f64::NEG_INFINITY,
             cfg.variant,
             &tuning.per_bucket,
             blsh_table,

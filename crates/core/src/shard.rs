@@ -86,14 +86,14 @@ use std::path::Path;
 
 use lemp_linalg::{kernels, LinalgError, ScoredItem, VectorStore};
 
-use crate::adaptive::{self, AdaptiveConfig, AdaptiveSelector};
+use crate::adaptive::{self, AdaptiveSelector};
 use crate::algos::MethodScratch;
 use crate::bucket::BucketPolicy;
 use crate::dynamic::DynamicLemp;
 use crate::exec::RunConfig;
 use crate::persist::{expect_eof, read_f64, read_u64, write_f64, write_u64, PersistError};
 use crate::plan::{
-    self, Engine, PlanSegment, Planner, QueryKind, QueryPlan, QueryRequest, QueryResponse, Scratch,
+    Engine, PlanSegment, Planner, QueryKind, QueryPlan, QueryRequest, QueryResponse, Scratch,
 };
 use crate::runner::{self, AboveThetaOutput, RunStats, TopKOutput};
 use crate::variant::{LempVariant, TunedParams};
@@ -300,8 +300,8 @@ pub fn kway_merge_topk(
 }
 
 /// The merge itself, assuming globally disjoint ids (checked only in debug
-/// builds) — the per-query hot path of [`ShardedLemp::row_top_k_shared`],
-/// which never allocates the duplicate-scan hash set.
+/// builds) — the per-query hot path of sharded Row-Top-k execution, which
+/// never allocates the duplicate-scan hash set.
 fn merge_disjoint(mut lists: Vec<Vec<ScoredItem>>, k: usize) -> Vec<ScoredItem> {
     debug_assert!(
         {
@@ -356,14 +356,6 @@ fn fan_out_chunks<C: Send, T: Send>(chunks: Vec<C>, f: impl Fn(C) -> Vec<T> + Sy
         let handles: Vec<_> = chunks.into_iter().map(|c| scope.spawn(move || f(c))).collect();
         handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
     })
-}
-
-/// Per-shard scratch for the shared (`&self`) query path of a
-/// [`ShardedLemp`] — one [`MethodScratch`] per shard, handed out disjointly
-/// to the fan-out workers. One `ShardScratch` per querying thread.
-#[derive(Debug)]
-pub struct ShardScratch {
-    per_shard: Vec<MethodScratch>,
 }
 
 /// Builder for [`ShardedLemp`].
@@ -507,8 +499,8 @@ fn compute_bands(shards: &[DynamicLemp], kind: ShardPolicyKind) -> Vec<f64> {
 
 /// A shard-parallel LEMP engine: `S` independently warmed [`DynamicLemp`]
 /// shards behind an exact merge layer, with deterministic edit routing.
-/// After [`ShardedLemp::warm`] all query methods run through `&self` with
-/// a caller-owned [`ShardScratch`], so one sharded engine serves any
+/// After [`ShardedLemp::warm`] every query runs through [`Engine`] on
+/// `&self` with a caller-owned [`Scratch`], so one sharded engine serves any
 /// number of threads concurrently — exactly like [`Lemp`], scaled out —
 /// while [`ShardedLemp::insert`]/[`ShardedLemp::remove`] (under the
 /// caller's write exclusivity) route edits to the owning shard and keep
@@ -516,7 +508,7 @@ fn compute_bands(shards: &[DynamicLemp], kind: ShardPolicyKind) -> Vec<f64> {
 ///
 /// ```
 /// use lemp_core::shard::{ShardPolicy, ShardedLemp};
-/// use lemp_core::WarmGoal;
+/// use lemp_core::{Engine, QueryRequest, WarmGoal};
 /// use lemp_linalg::VectorStore;
 ///
 /// let probes = VectorStore::from_rows(&[
@@ -530,9 +522,9 @@ fn compute_bands(shards: &[DynamicLemp], kind: ShardPolicyKind) -> Vec<f64> {
 ///     .policy(ShardPolicy::LengthBanded)
 ///     .build(&probes);
 /// engine.warm(&queries, WarmGoal::TopK(2));
-/// let mut scratch = engine.make_scratch();
-/// let top = engine.row_top_k_shared(&queries, 2, &mut scratch);
-/// assert_eq!(top.lists[0][0].id, 0); // global ids, merged exactly
+/// let mut scratch = engine.query_scratch();
+/// let top = engine.run(&QueryRequest::top_k(2), &queries, &mut scratch);
+/// assert_eq!(top.lists().unwrap()[0][0].id, 0); // global ids, merged exactly
 /// ```
 #[derive(Debug)]
 pub struct ShardedLemp {
@@ -698,8 +690,8 @@ impl ShardedLemp {
     }
 
     /// **Warms every shard** ([`Lemp::warm`] per shard, fanned out across
-    /// the thread pool); afterwards the `*_shared` methods answer through
-    /// `&self`. Reports are summed.
+    /// the thread pool); afterwards [`Engine::plan`]/[`Engine::execute`]
+    /// answer through `&self`. Reports are summed.
     ///
     /// # Panics
     /// If the sample dimensionality differs from the probe dimensionality.
@@ -719,24 +711,11 @@ impl ShardedLemp {
         report
     }
 
-    /// Whether [`ShardedLemp::warm`] has run (the `*_shared` methods are
-    /// usable). Warmth lives in the shards and survives edits — an insert
+    /// Whether [`ShardedLemp::warm`] has run ([`Engine::plan`] and
+    /// [`Engine::execute`] are usable). Warmth lives in the shards and survives edits — an insert
     /// or removal re-indexes the touched shard inside the edit.
     pub fn is_warm(&self) -> bool {
         self.shards.iter().all(DynamicLemp::is_warm)
-    }
-
-    /// A [`ShardScratch`] sized for this engine (one per querying thread).
-    /// Scratch grows on demand, so it stays valid as edits reshape the
-    /// shards.
-    pub fn make_scratch(&self) -> ShardScratch {
-        ShardScratch { per_shard: self.shards.iter().map(DynamicLemp::make_scratch).collect() }
-    }
-
-    /// Fresh per-shard selectors for the adaptive drivers, aligned with
-    /// the shard list.
-    pub fn adaptive_selectors(&self, acfg: &AdaptiveConfig) -> Vec<AdaptiveSelector> {
-        self.shards.iter().map(|s| s.adaptive_selector(acfg)).collect()
     }
 
     /// Every live vector with its global id, concatenated shard by shard
@@ -797,15 +776,6 @@ impl ShardedLemp {
         store
     }
 
-    fn assert_ready(&self, caller: &str, scratch: &ShardScratch) {
-        assert!(self.is_warm(), "{caller} requires a warmed engine: call ShardedLemp::warm first");
-        assert_eq!(
-            scratch.per_shard.len(),
-            self.shards.len(),
-            "{caller}: scratch was made for a different sharded engine"
-        );
-    }
-
     /// Runs `f` once per shard (shard engine + its scratch slot + its
     /// per-bucket parameters), fanned out across up to `fan_out` scoped
     /// threads; results in shard order.
@@ -839,13 +809,6 @@ impl ShardedLemp {
         )
     }
 
-    /// Each shard's tuned per-bucket parameters, straight from its warm
-    /// state (the classic entry points; the planned path reads them from
-    /// the plan's segments instead).
-    fn warm_params(&self, caller: &str) -> Vec<&[TunedParams]> {
-        self.shards.iter().map(|s| s.warm_state(caller).per_bucket.as_slice()).collect()
-    }
-
     /// Shards per fan-out worker: `fan_out` workers cover the shard list
     /// in contiguous chunks (one chunk ⇒ the serial path).
     fn chunk_size(&self) -> usize {
@@ -867,10 +830,10 @@ impl ShardedLemp {
         stats
     }
 
-    /// The unified execution core behind the sharded `*_shared` entry
-    /// points *and* [`Engine::execute`]: fans the request out across the
-    /// shards (serially under adaptive selection, so the learning
-    /// trajectories stay deterministic) and merges exactly.
+    /// The execution core behind [`Engine::execute`] for unchunked plans:
+    /// fans the request out across the shards (serially under adaptive
+    /// selection, so the learning trajectories stay deterministic) and
+    /// merges exactly.
     fn run_sharded(
         &self,
         request: &QueryRequest,
@@ -887,9 +850,6 @@ impl ShardedLemp {
         assert_eq!(params.len(), self.shards.len(), "one parameter set per shard");
         if let Some(sels) = &selectors {
             assert_eq!(sels.len(), self.shards.len(), "one selector per shard");
-        }
-        if let Some(chunk) = request.options.chunk {
-            return self.run_chunked(request, queries, chunk, scratches, selectors, params);
         }
         match request.kind {
             QueryKind::AboveTheta { theta } => QueryResponse::from_above(self.sharded_above(
@@ -921,22 +881,6 @@ impl ShardedLemp {
                 params,
             )),
         }
-    }
-
-    /// Chunked sharded execution: blocks of query rows sweep the whole
-    /// shard set through the shared chunked driver.
-    fn run_chunked(
-        &self,
-        request: &QueryRequest,
-        queries: &VectorStore,
-        chunk: usize,
-        scratches: &mut [MethodScratch],
-        mut selectors: Option<&mut [AdaptiveSelector]>,
-        params: &[&[TunedParams]],
-    ) -> QueryResponse {
-        plan::run_chunked_with(request, queries, chunk, |inner, block| {
-            self.run_sharded(inner, block, scratches, selectors.as_deref_mut(), params)
-        })
     }
 
     /// One Above-θ pass across all shards: concatenation merge (a probe
@@ -1009,7 +953,14 @@ impl ShardedLemp {
                 .zip(scratches.iter_mut())
                 .zip(sels.iter_mut())
                 .map(|((shard, sc), sel)| {
-                    adaptive::row_top_k_adaptive_prepared(shard.buckets(), queries, k, sel, sc)
+                    adaptive::row_top_k_adaptive_prepared(
+                        shard.buckets(),
+                        queries,
+                        k,
+                        floor,
+                        sel,
+                        sc,
+                    )
                 })
                 .collect(),
             None => self.for_each_shard(scratches, params, |shard, sc, pb| {
@@ -1025,159 +976,11 @@ impl ShardedLemp {
                 )
             }),
         };
-        let mut lists = self.merge_lists(&mut outs, queries.len(), k);
-        if selectors.is_some() && floor > f64::NEG_INFINITY {
-            // Adaptive shards return plain top-k lists; filtering the
-            // merged result by the floor is exact (any entry ≥ floor
-            // outside the plain top-k is dominated by k entries ≥ floor).
-            for list in &mut lists {
-                list.retain(|item| item.score >= floor);
-            }
-        }
+        let lists = self.merge_lists(&mut outs, queries.len(), k);
         let stats: Vec<RunStats> = outs.into_iter().map(|o| o.stats).collect();
         let mut stats = self.merge_stats(&stats, queries.len());
         stats.counters.results = lists.iter().map(|l| l.len() as u64).sum();
         TopKOutput { lists, stats }
-    }
-
-    /// **Above-θ** across all shards: per-shard shared runs, results
-    /// concatenated (a probe lives in exactly one shard). Entry values are
-    /// bit-identical to the unsharded engine.
-    ///
-    /// # Panics
-    /// If the engine is not warmed, the scratch belongs to another engine,
-    /// or on query/probe dimensionality mismatch.
-    pub fn above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut ShardScratch,
-    ) -> AboveThetaOutput {
-        self.assert_ready("above_theta_shared", scratch);
-        let params = self.warm_params("above_theta_shared");
-        self.run_sharded(
-            &QueryRequest::above_theta(theta),
-            queries,
-            &mut scratch.per_shard,
-            None,
-            &params,
-        )
-        .into_above()
-    }
-
-    /// **Row-Top-k** across all shards: per-shard shared runs merged with
-    /// the exact per-query k-way merge ([`kway_merge_topk`]).
-    ///
-    /// # Panics
-    /// Same conditions as [`ShardedLemp::above_theta_shared`].
-    pub fn row_top_k_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        scratch: &mut ShardScratch,
-    ) -> TopKOutput {
-        self.row_top_k_with_floor_shared(queries, k, f64::NEG_INFINITY, scratch)
-    }
-
-    /// **Row-Top-k with a score floor** across all shards (each shard
-    /// applies the floor locally; the merged top-k of the per-shard
-    /// floored lists is exactly the floored global top-k).
-    ///
-    /// # Panics
-    /// Same conditions as [`ShardedLemp::above_theta_shared`].
-    pub fn row_top_k_with_floor_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        floor: f64,
-        scratch: &mut ShardScratch,
-    ) -> TopKOutput {
-        self.assert_ready("row_top_k_with_floor_shared", scratch);
-        let params = self.warm_params("row_top_k_with_floor_shared");
-        self.run_sharded(
-            &QueryRequest::top_k_with_floor(k, floor),
-            queries,
-            &mut scratch.per_shard,
-            None,
-            &params,
-        )
-        .into_top_k()
-    }
-
-    /// **|Above-θ|** across all shards (two exact Above-θ passes, as in
-    /// [`Lemp::abs_above_theta`]).
-    ///
-    /// # Panics
-    /// If `theta ≤ 0`, plus the conditions of
-    /// [`ShardedLemp::above_theta_shared`].
-    pub fn abs_above_theta_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        scratch: &mut ShardScratch,
-    ) -> AboveThetaOutput {
-        self.assert_ready("abs_above_theta_shared", scratch);
-        let params = self.warm_params("abs_above_theta_shared");
-        self.run_sharded(
-            &QueryRequest::abs_above_theta(theta),
-            queries,
-            &mut scratch.per_shard,
-            None,
-            &params,
-        )
-        .into_above()
-    }
-
-    /// **Above-θ with online (bandit) selection** across all shards: each
-    /// shard learns in its own selector (obtain the slice from
-    /// [`ShardedLemp::adaptive_selectors`]). Shards run serially so the
-    /// learning trajectories stay deterministic; results are exact either
-    /// way.
-    ///
-    /// # Panics
-    /// If the selector slice is not aligned with the shard list, plus the
-    /// conditions of [`ShardedLemp::above_theta_shared`].
-    pub fn above_theta_adaptive_shared(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        selectors: &mut [AdaptiveSelector],
-        scratch: &mut ShardScratch,
-    ) -> AboveThetaOutput {
-        self.assert_ready("above_theta_adaptive_shared", scratch);
-        let params = self.warm_params("above_theta_adaptive_shared");
-        self.run_sharded(
-            &QueryRequest::above_theta(theta),
-            queries,
-            &mut scratch.per_shard,
-            Some(selectors),
-            &params,
-        )
-        .into_above()
-    }
-
-    /// [`ShardedLemp::above_theta_adaptive_shared`] for Row-Top-k
-    /// workloads.
-    ///
-    /// # Panics
-    /// Same conditions as [`ShardedLemp::above_theta_adaptive_shared`].
-    pub fn row_top_k_adaptive_shared(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        selectors: &mut [AdaptiveSelector],
-        scratch: &mut ShardScratch,
-    ) -> TopKOutput {
-        self.assert_ready("row_top_k_adaptive_shared", scratch);
-        let params = self.warm_params("row_top_k_adaptive_shared");
-        self.run_sharded(
-            &QueryRequest::top_k(k),
-            queries,
-            &mut scratch.per_shard,
-            Some(selectors),
-            &params,
-        )
-        .into_top_k()
     }
 
     /// Per-query k-way merge of the shard outputs (lists are moved out of
@@ -1393,7 +1196,7 @@ impl Engine for ShardedLemp {
         QueryPlan::new(*request, segments)
     }
 
-    fn execute(
+    fn execute_block(
         &self,
         plan: &QueryPlan,
         queries: &VectorStore,
@@ -1521,6 +1324,17 @@ mod tests {
         engine
     }
 
+    fn above(engine: &dyn Engine, q: &VectorStore, theta: f64) -> Vec<(u32, u32)> {
+        let mut scratch = engine.query_scratch();
+        let out = engine.run(&QueryRequest::above_theta(theta), q, &mut scratch);
+        canonical_pairs(out.entries().unwrap())
+    }
+
+    fn top_k(engine: &dyn Engine, q: &VectorStore, k: usize) -> Vec<Vec<ScoredItem>> {
+        let mut scratch = engine.query_scratch();
+        engine.run(&QueryRequest::top_k(k), q, &mut scratch).into_top_k().lists
+    }
+
     #[test]
     fn policies_partition_every_row_exactly_once() {
         let (_, p) = data(1, 100, 10);
@@ -1574,26 +1388,15 @@ mod tests {
         let (expect_topk, _) = Naive.row_top_k(&q, &p, 4);
         for shards in [1usize, 3] {
             let engine = warmed(&p, &q, shards, ShardPolicy::RoundRobin);
-            let mut scratch = engine.make_scratch();
-            let above = engine.above_theta_shared(&q, theta, &mut scratch);
-            assert_eq!(
-                canonical_pairs(&above.entries),
-                canonical_pairs(&expect_above),
-                "S={shards}"
-            );
-            let top = engine.row_top_k_shared(&q, 4, &mut scratch);
-            assert!(topk_equivalent(&top.lists, &expect_topk, 1e-9), "S={shards}");
+            assert_eq!(above(&engine, &q, theta), canonical_pairs(&expect_above), "S={shards}");
+            assert!(topk_equivalent(&top_k(&engine, &q, 4), &expect_topk, 1e-9), "S={shards}");
         }
     }
 
     #[test]
     fn fan_out_threads_do_not_change_results() {
         let (q, p) = data(25, 180, 30);
-        let serial = {
-            let engine = warmed(&p, &q, 4, ShardPolicy::LengthBanded);
-            let mut scratch = engine.make_scratch();
-            engine.row_top_k_shared(&q, 5, &mut scratch)
-        };
+        let serial = top_k(&warmed(&p, &q, 4, ShardPolicy::LengthBanded), &q, 5);
         let parallel = {
             let mut engine = ShardedLemp::builder()
                 .shards(4)
@@ -1602,10 +1405,9 @@ mod tests {
                 .threads(4)
                 .build(&p);
             engine.warm(&q, WarmGoal::TopK(5));
-            let mut scratch = engine.make_scratch();
-            engine.row_top_k_shared(&q, 5, &mut scratch)
+            top_k(&engine, &q, 5)
         };
-        assert!(topk_equivalent(&serial.lists, &parallel.lists, 0.0));
+        assert!(topk_equivalent(&serial, &parallel, 0.0));
     }
 
     #[test]
@@ -1614,9 +1416,7 @@ mod tests {
         let engine = warmed(&p, &q, 7, ShardPolicy::RoundRobin);
         assert_eq!(engine.shard_count(), 7);
         assert_eq!(engine.shard_sizes().iter().sum::<usize>(), 3);
-        let mut scratch = engine.make_scratch();
-        let top = engine.row_top_k_shared(&q, 5, &mut scratch);
-        for list in &top.lists {
+        for list in &top_k(&engine, &q, 5) {
             assert_eq!(list.len(), 3, "k beyond the probe count returns everything");
         }
     }
@@ -1647,8 +1447,7 @@ mod tests {
     fn manifest_roundtrips_and_answers_identically() {
         let (q, p) = data(20, 150, 50);
         let engine = warmed(&p, &q, 3, ShardPolicy::LengthBanded);
-        let mut scratch = engine.make_scratch();
-        let before = engine.above_theta_shared(&q, 1.0, &mut scratch);
+        let before = above(&engine, &q, 1.0);
         let mut buf = Vec::new();
         engine.write_to(&mut buf).unwrap();
 
@@ -1659,9 +1458,7 @@ mod tests {
         assert_eq!(loaded.policy_kind(), ShardPolicyKind::LengthBanded);
         assert!(!loaded.is_warm(), "warm state is not persisted");
         loaded.warm(&q, WarmGoal::Above(1.0));
-        let mut scratch = loaded.make_scratch();
-        let after = loaded.above_theta_shared(&q, 1.0, &mut scratch);
-        assert_eq!(canonical_pairs(&before.entries), canonical_pairs(&after.entries));
+        assert_eq!(before, above(&loaded, &q, 1.0));
     }
 
     #[test]
@@ -1687,8 +1484,7 @@ mod tests {
         // Routed edits re-encode the touched bucket.
         engine.insert(&[2.0; 8]).unwrap();
         assert!(engine.remove(7));
-        let mut scratch = engine.make_scratch();
-        let before = engine.row_top_k_shared(&q, 4, &mut scratch);
+        let before = top_k(&engine, &q, 4);
 
         let mut buf = Vec::new();
         engine.write_to(&mut buf).unwrap();
@@ -1700,9 +1496,7 @@ mod tests {
             }
         }
         loaded.warm(&q, WarmGoal::TopK(4));
-        let mut scratch = loaded.make_scratch();
-        let after = loaded.row_top_k_shared(&q, 4, &mut scratch);
-        assert!(topk_equivalent(&before.lists, &after.lists, 0.0));
+        assert!(topk_equivalent(&before, &top_k(&loaded, &q, 4), 0.0));
     }
 
     #[test]
@@ -1787,10 +1581,8 @@ mod tests {
         assert_eq!(id, 60);
         assert!(loaded.remove(id));
         loaded.warm(&q, WarmGoal::TopK(3));
-        let mut scratch = loaded.make_scratch();
-        let top = loaded.row_top_k_shared(&q, 3, &mut scratch);
         let (expect, _) = Naive.row_top_k(&q, &p, 3);
-        assert!(topk_equivalent(&top.lists, &expect, 1e-9));
+        assert!(topk_equivalent(&top_k(&loaded, &q, 3), &expect, 1e-9));
     }
 
     #[test]
@@ -1815,17 +1607,10 @@ mod tests {
             assert_eq!(sharded.len(), single.len());
             assert_eq!(sharded.next_id(), single.next_id());
             sharded.warm(&q, WarmGoal::TopK(5));
-            let mut scratch = sharded.make_scratch();
-            let above = sharded.above_theta_shared(&q, 1.0, &mut scratch);
-            let expect = single.above_theta(&q, 1.0);
-            assert_eq!(
-                canonical_pairs(&above.entries),
-                canonical_pairs(&expect.entries),
-                "{policy:?}"
-            );
-            let top = sharded.row_top_k_shared(&q, 4, &mut scratch);
-            let expect = single.row_top_k(&q, 4);
-            assert!(topk_equivalent(&top.lists, &expect.lists, 0.0), "{policy:?}");
+            single.warm(&q, WarmGoal::TopK(5));
+            assert_eq!(above(&sharded, &q, 1.0), above(&single, &q, 1.0), "{policy:?}");
+            let top = top_k(&sharded, &q, 4);
+            assert!(topk_equivalent(&top, &top_k(&single, &q, 4), 0.0), "{policy:?}");
         }
     }
 
@@ -1944,7 +1729,6 @@ mod tests {
     fn shared_query_without_warm_panics() {
         let (q, p) = data(5, 40, 95);
         let engine = ShardedLemp::new(&p, 2);
-        let mut scratch = engine.make_scratch();
-        let _ = engine.row_top_k_shared(&q, 2, &mut scratch);
+        let _ = top_k(&engine, &q, 2);
     }
 }

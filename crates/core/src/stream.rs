@@ -1,177 +1,22 @@
-//! Bounded-memory chunked drivers and role-reversal convenience.
+//! Whole-product helpers on top of the one-shot batch driver.
 //!
-//! The paper's workloads have *millions* of query vectors; an Above-θ run
-//! at a permissive threshold can return more entries than comfortably fit
-//! in memory next to the factor matrices. The chunked drivers process the
-//! query matrix in fixed-size blocks and hand each block's results to a
-//! caller-supplied sink before moving on, so peak memory is bounded by the
-//! chunk — the engine, its lazily built indexes, and the tuner state are
-//! shared across chunks (indexes build once, on the first chunk that needs
-//! them).
-//!
+//! [`Lemp::global_top_n`] finds the `n` largest entries of the entire
+//! product, processing queries in bounded-memory blocks, and
 //! [`column_top_k`] implements the paper's remark (Sec. 2) that "the top-k
 //! values in each column of `QᵀP` can be found by reversing the roles of
-//! `Q` and `P`".
+//! `Q` and `P`". Both run on a cold engine, which tunes on the batch and
+//! builds only the indexes it reaches.
+//!
+//! Chunked (bounded-memory) execution of the retrieval problems
+//! themselves is an execution option of the unified query surface:
+//! [`crate::QueryRequest::chunked`] plus [`crate::Engine::execute_stream`],
+//! which hands each block's results to a sink before the next block runs.
 
 use lemp_baselines::types::Entry;
-use lemp_linalg::{ScoredItem, VectorStore};
+use lemp_linalg::VectorStore;
 
-use crate::algos::MethodScratch;
-use crate::runner::{self, RunStats, TopKOutput};
+use crate::runner::{self, TopKOutput};
 use crate::{Lemp, LempBuilder};
-
-impl Lemp {
-    /// Chunked **Above-θ**: processes `queries` in blocks of `chunk_size`
-    /// rows and passes each block's entries (with *global* query ids) to
-    /// `sink`. Returns the aggregated run statistics.
-    ///
-    /// Entries across chunks arrive in ascending chunk order; within a
-    /// chunk the order is unspecified, as in [`Lemp::above_theta`].
-    ///
-    /// # Panics
-    /// If `chunk_size == 0` or the query dimensionality differs from the
-    /// probe dimensionality.
-    pub fn above_theta_chunked<F>(
-        &mut self,
-        queries: &VectorStore,
-        theta: f64,
-        chunk_size: usize,
-        mut sink: F,
-    ) -> RunStats
-    where
-        F: FnMut(&[Entry]),
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let mut stats = RunStats::default();
-        let dim = queries.dim();
-        let mut offset = 0usize;
-        while offset < queries.len() {
-            let end = (offset + chunk_size).min(queries.len());
-            let chunk =
-                VectorStore::from_flat(queries.as_flat()[offset * dim..end * dim].to_vec(), dim)
-                    .expect("slice of a valid store is valid");
-            let mut out = runner::above_theta(&mut self.buckets, &chunk, theta, &self.config);
-            for e in &mut out.entries {
-                e.query += offset as u32;
-            }
-            stats.merge(&out.stats);
-            sink(&out.entries);
-            offset = end;
-        }
-        stats
-    }
-
-    /// Chunked **Row-Top-k**: processes `queries` in blocks of `chunk_size`
-    /// rows and passes each query's top-k list (with its *global* query id)
-    /// to `sink`, in ascending query order. Returns the aggregated run
-    /// statistics.
-    ///
-    /// # Panics
-    /// If `chunk_size == 0` or the query dimensionality differs from the
-    /// probe dimensionality.
-    pub fn row_top_k_chunked<F>(
-        &mut self,
-        queries: &VectorStore,
-        k: usize,
-        chunk_size: usize,
-        mut sink: F,
-    ) -> RunStats
-    where
-        F: FnMut(u32, &[ScoredItem]),
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let mut stats = RunStats::default();
-        let dim = queries.dim();
-        let mut offset = 0usize;
-        while offset < queries.len() {
-            let end = (offset + chunk_size).min(queries.len());
-            let chunk =
-                VectorStore::from_flat(queries.as_flat()[offset * dim..end * dim].to_vec(), dim)
-                    .expect("slice of a valid store is valid");
-            let out = runner::row_top_k(&mut self.buckets, &chunk, k, &self.config);
-            stats.merge(&out.stats);
-            for (i, list) in out.lists.iter().enumerate() {
-                sink((offset + i) as u32, list);
-            }
-            offset = end;
-        }
-        stats
-    }
-
-    /// [`Lemp::above_theta_chunked`] through `&self` over a warmed engine,
-    /// with a caller-owned scratch — the bounded-memory streaming driver
-    /// for shared engines.
-    ///
-    /// # Panics
-    /// If `chunk_size == 0`, the engine is not warmed ([`Lemp::warm`]), or
-    /// on query/probe dimensionality mismatch.
-    pub fn above_theta_chunked_shared<F>(
-        &self,
-        queries: &VectorStore,
-        theta: f64,
-        chunk_size: usize,
-        scratch: &mut MethodScratch,
-        mut sink: F,
-    ) -> RunStats
-    where
-        F: FnMut(&[Entry]),
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let mut stats = RunStats::default();
-        let dim = queries.dim();
-        let mut offset = 0usize;
-        while offset < queries.len() {
-            let end = (offset + chunk_size).min(queries.len());
-            let chunk =
-                VectorStore::from_flat(queries.as_flat()[offset * dim..end * dim].to_vec(), dim)
-                    .expect("slice of a valid store is valid");
-            let mut out = self.above_theta_shared(&chunk, theta, scratch);
-            for e in &mut out.entries {
-                e.query += offset as u32;
-            }
-            stats.merge(&out.stats);
-            sink(&out.entries);
-            offset = end;
-        }
-        stats
-    }
-
-    /// [`Lemp::row_top_k_chunked`] through `&self` over a warmed engine,
-    /// with a caller-owned scratch.
-    ///
-    /// # Panics
-    /// If `chunk_size == 0`, the engine is not warmed ([`Lemp::warm`]), or
-    /// on query/probe dimensionality mismatch.
-    pub fn row_top_k_chunked_shared<F>(
-        &self,
-        queries: &VectorStore,
-        k: usize,
-        chunk_size: usize,
-        scratch: &mut MethodScratch,
-        mut sink: F,
-    ) -> RunStats
-    where
-        F: FnMut(u32, &[ScoredItem]),
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let mut stats = RunStats::default();
-        let dim = queries.dim();
-        let mut offset = 0usize;
-        while offset < queries.len() {
-            let end = (offset + chunk_size).min(queries.len());
-            let chunk =
-                VectorStore::from_flat(queries.as_flat()[offset * dim..end * dim].to_vec(), dim)
-                    .expect("slice of a valid store is valid");
-            let out = self.row_top_k_shared(&chunk, k, scratch);
-            stats.merge(&out.stats);
-            for (i, list) in out.lists.iter().enumerate() {
-                sink((offset + i) as u32, list);
-            }
-            offset = end;
-        }
-        stats
-    }
-}
 
 /// **Column-Top-k**: for every *probe* column `p ∈ P`, the `k` queries
 /// attaining the largest inner products — the paper's role reversal
@@ -274,7 +119,7 @@ impl Lemp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LempVariant;
+    use crate::{Engine, ExecOptions, LempVariant, QueryRequest, QueryRows, WarmGoal};
     use lemp_baselines::types::{canonical_pairs, topk_equivalent};
     use lemp_baselines::Naive;
     use lemp_data::synthetic::GeneratorConfig;
@@ -285,24 +130,46 @@ mod tests {
         (q, p)
     }
 
+    fn warmed(p: &VectorStore, q: &VectorStore, goal: WarmGoal) -> Lemp {
+        let mut engine = Lemp::builder().sample_size(8).build(p);
+        engine.warm(q, goal);
+        engine
+    }
+
     #[test]
     fn chunked_above_theta_matches_monolithic() {
         let (q, p) = data(53, 300, 20);
         let theta = 1.2;
-        let mut mono = Lemp::builder().sample_size(8).build(&p);
-        let expect = mono.above_theta(&q, theta);
+        let expect = Lemp::builder().sample_size(8).build(&p).above_theta(&q, theta);
+        let engine = warmed(&p, &q, WarmGoal::Above(theta));
         for chunk_size in [1, 7, 53, 100] {
-            let mut engine = Lemp::builder().sample_size(8).build(&p);
+            let plan = engine.plan(&QueryRequest::above_theta(theta).chunked(chunk_size));
+            let mut scratch = engine.query_scratch();
             let mut collected = Vec::new();
-            let stats = engine
-                .above_theta_chunked(&q, theta, chunk_size, |es| collected.extend_from_slice(es));
+            let mut queries = 0;
+            let mut results = 0;
+            engine.execute_stream(&plan, &q, &mut scratch, &mut |offset, block| {
+                let entries = block.entries().unwrap();
+                let rows = block.stats.counters.queries as usize;
+                assert!(entries
+                    .iter()
+                    .all(|e| (offset..offset + rows).contains(&(e.query as usize))));
+                assert_eq!(block.stats.counters.results, entries.len() as u64);
+                queries += rows;
+                results += block.stats.counters.results;
+                collected.extend_from_slice(entries);
+            });
             assert_eq!(
                 canonical_pairs(&collected),
                 canonical_pairs(&expect.entries),
                 "chunk size {chunk_size} diverges"
             );
-            assert_eq!(stats.counters.queries, q.len() as u64);
-            assert_eq!(stats.counters.results, expect.entries.len() as u64);
+            assert_eq!(queries, q.len());
+            assert_eq!(results, collected.len() as u64);
+            // The materializing form merges the blocks' stats.
+            let merged = engine.execute(&plan, &q, &mut scratch).stats;
+            assert_eq!(merged.counters.results, expect.entries.len() as u64);
+            assert_eq!(merged.counters.queries, q.len() as u64);
         }
     }
 
@@ -310,18 +177,17 @@ mod tests {
     fn chunked_top_k_matches_monolithic() {
         let (q, p) = data(41, 200, 30);
         let k = 4;
-        let mut mono = Lemp::builder().sample_size(8).build(&p);
-        let expect = mono.row_top_k(&q, k);
+        let expect = Lemp::builder().sample_size(8).build(&p).row_top_k(&q, k);
+        let engine = warmed(&p, &q, WarmGoal::TopK(k));
         for chunk_size in [1, 8, 41, 64] {
-            let mut engine = Lemp::builder().sample_size(8).build(&p);
-            let mut lists = vec![Vec::new(); q.len()];
-            let mut seen_order = Vec::new();
-            engine.row_top_k_chunked(&q, k, chunk_size, |query, list| {
-                seen_order.push(query);
-                lists[query as usize] = list.to_vec();
+            let plan = engine.plan(&QueryRequest::top_k(k).chunked(chunk_size));
+            let mut scratch = engine.query_scratch();
+            let mut lists = Vec::new();
+            engine.execute_stream(&plan, &q, &mut scratch, &mut |offset, block| {
+                assert_eq!(offset, lists.len(), "blocks out of order");
+                lists.extend(block.into_top_k().lists);
             });
-            assert!(seen_order.windows(2).all(|w| w[0] < w[1]), "queries out of order");
-            assert_eq!(seen_order.len(), q.len());
+            assert_eq!(lists.len(), q.len());
             assert!(
                 topk_equivalent(&lists, &expect.lists, 1e-9),
                 "chunk size {chunk_size} diverges"
@@ -333,30 +199,44 @@ mod tests {
     fn chunked_indexes_build_only_once() {
         let (q, p) = data(60, 400, 40);
         let mut engine = Lemp::builder().variant(LempVariant::I).sample_size(8).build(&p);
-        let stats = engine.above_theta_chunked(&q, 1.0, 10, |_| {});
-        // Re-running must not rebuild anything: indexes persist on the engine.
-        let stats2 = engine.above_theta_chunked(&q, 1.0, 10, |_| {});
-        assert!(stats.indexes_built > 0);
-        assert_eq!(stats2.indexes_built, 0, "indexes rebuilt across runs");
+        // Warming builds every index up front; chunked runs only read them.
+        assert!(engine.warm(&q, WarmGoal::Above(1.0)).indexes_built > 0);
+        let plan = engine.plan(&QueryRequest::above_theta(1.0).chunked(10));
+        let mut scratch = engine.query_scratch();
+        for _ in 0..2 {
+            let stats = engine.execute(&plan, &q, &mut scratch).stats;
+            assert_eq!(stats.counters.queries, q.len() as u64);
+            assert_eq!(stats.indexes_built, 0, "indexes rebuilt across runs");
+        }
     }
 
     #[test]
     fn chunked_handles_empty_queries() {
-        let (_, p) = data(5, 50, 50);
+        let (q, p) = data(5, 50, 50);
+        let engine = warmed(&p, &q, WarmGoal::Above(1.0));
         let empty = VectorStore::empty(10).unwrap();
-        let mut engine = Lemp::builder().build(&p);
+        let plan = engine.plan(&QueryRequest::above_theta(1.0).chunked(16));
+        let mut scratch = engine.query_scratch();
         let mut called = false;
-        let stats = engine.above_theta_chunked(&empty, 1.0, 16, |_| called = true);
+        engine.execute_stream(&plan, &empty, &mut scratch, &mut |_, _| called = true);
         assert!(!called);
-        assert_eq!(stats.counters.queries, 0);
+        let out = engine.execute(&plan, &empty, &mut scratch);
+        assert!(matches!(out.rows, QueryRows::Entries(ref e) if e.is_empty()));
+        assert_eq!(out.stats.counters.queries, 0);
     }
 
     #[test]
     #[should_panic(expected = "chunk_size must be positive")]
     fn zero_chunk_size_panics() {
         let (q, p) = data(5, 20, 60);
-        let mut engine = Lemp::builder().build(&p);
-        engine.above_theta_chunked(&q, 1.0, 0, |_| {});
+        let engine = warmed(&p, &q, WarmGoal::Above(1.0));
+        // Options are public fields, so the streaming loop re-checks the
+        // size the `chunked` constructor validates.
+        let mut request = QueryRequest::above_theta(1.0);
+        request.options = ExecOptions { chunk: Some(0), ..request.options };
+        let plan = engine.plan(&request);
+        let mut scratch = engine.query_scratch();
+        engine.execute_stream(&plan, &q, &mut scratch, &mut |_, _| {});
     }
 
     /// Reference: the top-n values of the full product, descending.

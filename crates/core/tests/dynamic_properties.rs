@@ -10,7 +10,7 @@
 //! "any edit sequence ≡ from-scratch build over its live set" is exactly
 //! the guarantee that recovered engines answer like never-crashed ones.
 
-use lemp_core::{BucketPolicy, DynamicLemp, RunConfig};
+use lemp_core::{BucketPolicy, DynamicLemp, Engine, QueryRequest, QueryResponse, RunConfig};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::VectorStore;
 use proptest::prelude::*;
@@ -31,6 +31,12 @@ fn initial(rows: usize) -> VectorStore {
     } else {
         GeneratorConfig::gaussian(rows, DIM, 1.0).generate(4700)
     }
+}
+
+/// Warms `engine` on `queries` for the current layout and runs `request`.
+fn run(engine: &mut DynamicLemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.warm(queries, request.kind.warm_goal());
+    engine.run(&request, queries, &mut engine.query_scratch())
 }
 
 /// Bucket-maintenance invariants (within-bucket order, partitioned length
@@ -119,14 +125,14 @@ proptest! {
         let mut fresh = DynamicLemp::new(&live_store, policy(), config());
         let theta = 1.0;
         let got: Vec<(u32, u32, u64)> = {
-            let out = engine.above_theta(&queries, theta);
+            let out = run(&mut engine, &queries, QueryRequest::above_theta(theta)).into_above();
             let mut v: Vec<(u32, u32, u64)> =
                 out.entries.iter().map(|e| (e.query, e.probe, e.value.to_bits())).collect();
             v.sort_unstable();
             v
         };
         let expect: Vec<(u32, u32, u64)> = {
-            let out = fresh.above_theta(&queries, theta);
+            let out = run(&mut fresh, &queries, QueryRequest::above_theta(theta)).into_above();
             let mut v: Vec<(u32, u32, u64)> = out
                 .entries
                 .iter()
@@ -138,8 +144,8 @@ proptest! {
         prop_assert_eq!(got, expect, "Above-θ diverges from the from-scratch build");
 
         let k = 3;
-        let edited_topk = engine.row_top_k(&queries, k);
-        let fresh_topk = fresh.row_top_k(&queries, k);
+        let edited_topk = run(&mut engine, &queries, QueryRequest::top_k(k)).into_top_k();
+        let fresh_topk = run(&mut fresh, &queries, QueryRequest::top_k(k)).into_top_k();
         prop_assert!(
             lemp_baselines::types::topk_equivalent(&edited_topk.lists, &fresh_topk.lists, 0.0),
             "Row-Top-k scores diverge from the from-scratch build"

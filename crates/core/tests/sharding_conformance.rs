@@ -1,8 +1,9 @@
 //! Differential conformance suite for the sharded engine: for **every**
-//! query method (Row-Top-k, Above-θ, |Above-θ|, floored top-k, adaptive)
-//! and every shard count `S ∈ {1, 2, 3, 7}`, a [`ShardedLemp`] must agree
-//! with the unsharded [`Lemp`] *and* with the naive full scan on the same
-//! matrices — under every [`ShardPolicy`]. Exactness across the merge
+//! query kind (Row-Top-k, Above-θ, |Above-θ|, floored top-k, each also
+//! under adaptive selection) and every shard count `S ∈ {1, 2, 3, 7}`, a
+//! [`ShardedLemp`] must agree with the unsharded [`Lemp`] *and* with the
+//! naive full scan on the same matrices — under every [`ShardPolicy`], all
+//! through the [`Engine`] trait. Exactness across the merge
 //! boundary is precisely where sharded systems rot, so the fixtures
 //! deliberately include ties at the k-boundary and a θ exactly equal to a
 //! score.
@@ -15,7 +16,7 @@
 use lemp_baselines::types::{canonical_pairs, topk_equivalent};
 use lemp_baselines::Naive;
 use lemp_core::shard::{kway_merge_topk, ShardError, ShardPolicy};
-use lemp_core::{AdaptiveConfig, Lemp, ShardedLemp, WarmGoal};
+use lemp_core::{AdaptiveConfig, Engine, Lemp, QueryRequest, QueryResponse, ShardedLemp, WarmGoal};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::{ScoredItem, VectorStore};
 use proptest::prelude::*;
@@ -38,6 +39,11 @@ fn fixture(m: usize, n: usize, seed: u64) -> (VectorStore, VectorStore) {
     (q, p)
 }
 
+/// Runs one request through the unified query surface with a fresh scratch.
+fn run(engine: &dyn Engine, q: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.run(&request, q, &mut engine.query_scratch())
+}
+
 /// Runs all five methods on `(q, p)` through Naive, the unsharded warmed
 /// engine, and the sharded engine for every `S` and policy, asserting the
 /// three agree. `k`/`theta`/`floor` parameterize the workloads.
@@ -47,14 +53,13 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
     let (naive_above, _) = Naive.above_theta(q, p, theta);
     let naive_above = canonical_pairs(&naive_above);
 
-    // Ground truth 2: the unsharded engine through the shared path.
+    // Ground truth 2: the unsharded engine through the same surface.
     let mut single = Lemp::builder().sample_size(8).build(p);
     single.warm(q, WarmGoal::TopK(k.max(1)));
-    let mut sscr = single.make_scratch();
-    let single_topk = single.row_top_k_shared(q, k, &mut sscr);
-    let single_above = single.above_theta_shared(q, theta, &mut sscr);
-    let single_abs = single.abs_above_theta_shared(q, theta, &mut sscr);
-    let single_floor = single.row_top_k_with_floor_shared(q, k, floor, &mut sscr);
+    let single_topk = run(&single, q, QueryRequest::top_k(k)).into_top_k();
+    let single_above = run(&single, q, QueryRequest::above_theta(theta)).into_above();
+    let single_abs = run(&single, q, QueryRequest::abs_above_theta(theta)).into_above();
+    let single_floor = run(&single, q, QueryRequest::top_k_with_floor(k, floor)).into_top_k();
 
     // The unsharded engine itself must match naive (sanity of the truth).
     assert!(topk_equivalent(&single_topk.lists, &naive_topk, 1e-9));
@@ -70,12 +75,13 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
                 .threads(2)
                 .build(p);
             engine.warm(q, WarmGoal::TopK(k.max(1)));
-            let mut scratch = engine.make_scratch();
+            let mut scratch = engine.query_scratch();
+            let mut run = |request: QueryRequest| engine.run(&request, q, &mut scratch);
 
             // Row-Top-k: score multisets bit-identical to the unsharded
             // engine (both compute dir·p scaled by ‖q‖ on the same bytes),
             // and within 1e-9 of naive (which computes q·p directly).
-            let topk = engine.row_top_k_shared(q, k, &mut scratch);
+            let topk = run(QueryRequest::top_k(k)).into_top_k();
             assert!(
                 topk_equivalent(&topk.lists, &single_topk.lists, 0.0),
                 "{label}: top-k diverges from the unsharded engine"
@@ -87,7 +93,7 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
 
             // Above-θ: the (query, probe) sets are byte-identical across
             // all three engines, and the values are bit-exact.
-            let above = engine.above_theta_shared(q, theta, &mut scratch);
+            let above = run(QueryRequest::above_theta(theta)).into_above();
             assert_eq!(canonical_pairs(&above.entries), naive_above, "{label}: Above-θ diverges");
             for e in &above.entries {
                 let v = q.dot_between(e.query as usize, p, e.probe as usize);
@@ -95,7 +101,7 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
             }
 
             // |Above-θ|.
-            let abs = engine.abs_above_theta_shared(q, theta, &mut scratch);
+            let abs = run(QueryRequest::abs_above_theta(theta)).into_above();
             assert_eq!(
                 canonical_pairs(&abs.entries),
                 canonical_pairs(&single_abs.entries),
@@ -103,7 +109,7 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
             );
 
             // Floored top-k.
-            let floored = engine.row_top_k_with_floor_shared(q, k, floor, &mut scratch);
+            let floored = run(QueryRequest::top_k_with_floor(k, floor)).into_top_k();
             assert!(
                 topk_equivalent(&floored.lists, &single_floor.lists, 0.0),
                 "{label}: floored top-k diverges"
@@ -113,17 +119,24 @@ fn assert_conformance(q: &VectorStore, p: &VectorStore, k: usize, theta: f64, fl
             }
 
             // Adaptive (bandit) selection: exact results regardless of the
-            // arms chosen, learning state in per-shard selectors.
+            // arms chosen, learning state in per-shard selectors that the
+            // scratch carries from the Above-θ run to the top-k run.
             let acfg = AdaptiveConfig::default();
-            let mut selectors = engine.adaptive_selectors(&acfg);
-            let above_a =
-                engine.above_theta_adaptive_shared(q, theta, &mut selectors, &mut scratch);
+            let above_a = run(QueryRequest::above_theta(theta).adaptive(acfg)).into_above();
             assert_eq!(
                 canonical_pairs(&above_a.entries),
                 naive_above,
                 "{label}: adaptive Above-θ diverges"
             );
-            let topk_a = engine.row_top_k_adaptive_shared(q, k, &mut selectors, &mut scratch);
+            let topk_a = run(QueryRequest::top_k(k).adaptive(acfg)).into_top_k();
+            // The floored adaptive path filters the plain lists exactly.
+            let floored_a =
+                run(QueryRequest::top_k_with_floor(k, floor).adaptive(acfg)).into_top_k();
+            assert!(
+                topk_equivalent(&floored_a.lists, &single_floor.lists, 0.0),
+                "{label}: adaptive floored top-k diverges"
+            );
+            assert_eq!(scratch.adaptive_reports().len(), shards, "{label}: one report per shard");
             assert!(
                 topk_equivalent(&topk_a.lists, &naive_topk, 1e-9),
                 "{label}: adaptive top-k diverges"
@@ -172,8 +185,7 @@ fn ties_at_the_k_boundary_are_exact() {
         .sample_size(8)
         .build(&p);
     engine.warm(&q, WarmGoal::TopK(k));
-    let mut scratch = engine.make_scratch();
-    let topk = engine.row_top_k_shared(&q, k, &mut scratch);
+    let topk = run(&engine, &q, QueryRequest::top_k(k)).into_top_k();
     assert!(topk_equivalent(&topk.lists, &naive_topk, 1e-9));
     for list in &topk.lists {
         assert_eq!(list.len(), k);
@@ -214,8 +226,7 @@ fn theta_exactly_equal_to_a_score_is_inclusive_everywhere() {
     for shards in SHARD_COUNTS {
         let mut engine = ShardedLemp::builder().shards(shards).sample_size(8).build(&p);
         engine.warm(&q, WarmGoal::Above(theta));
-        let mut scratch = engine.make_scratch();
-        let above = engine.above_theta_shared(&q, theta, &mut scratch);
+        let above = run(&engine, &q, QueryRequest::above_theta(theta)).into_above();
         assert_eq!(canonical_pairs(&above.entries), naive_above, "S={shards}");
         // The boundary pair itself (value == θ) is present.
         assert!(
@@ -235,9 +246,8 @@ fn sharded_load_answers_like_the_builder() {
     engine.write_to(&mut buf).unwrap();
     let mut loaded = ShardedLemp::read_from(&buf[..]).unwrap();
     loaded.warm(&q, WarmGoal::TopK(4));
-    let mut scratch = loaded.make_scratch();
     let (naive_topk, _) = Naive.row_top_k(&q, &p, 4);
-    let topk = loaded.row_top_k_shared(&q, 4, &mut scratch);
+    let topk = run(&loaded, &q, QueryRequest::top_k(4)).into_top_k();
     assert!(topk_equivalent(&topk.lists, &naive_topk, 1e-9));
 }
 
@@ -405,15 +415,15 @@ proptest! {
         // Differential conformance after the whole script: bit-identical
         // answers (tolerance 0.0) for both query kinds.
         sharded.warm(&q, WarmGoal::TopK(4));
-        let mut scratch = sharded.make_scratch();
-        let topk = sharded.row_top_k_shared(&q, 4, &mut scratch);
-        let expect = single.row_top_k(&q, 4);
+        single.warm(&q, WarmGoal::TopK(4));
+        let topk = run(&sharded, &q, QueryRequest::top_k(4)).into_top_k();
+        let expect = run(&single, &q, QueryRequest::top_k(4)).into_top_k();
         prop_assert!(
             topk_equivalent(&topk.lists, &expect.lists, 0.0),
             "top-k diverged from the unsharded dynamic engine"
         );
-        let above = sharded.above_theta_shared(&q, 0.9, &mut scratch);
-        let expect = single.above_theta(&q, 0.9);
+        let above = run(&sharded, &q, QueryRequest::above_theta(0.9)).into_above();
+        let expect = run(&single, &q, QueryRequest::above_theta(0.9)).into_above();
         prop_assert_eq!(canonical_pairs(&above.entries), canonical_pairs(&expect.entries));
     }
 }

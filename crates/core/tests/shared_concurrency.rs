@@ -1,17 +1,17 @@
 //! Concurrent correctness of the warmed, `&self`-shareable query path.
 //!
-//! One engine is warmed once and then shared (plain `&Lemp`, no locking)
-//! by many threads running interleaved Row-Top-k and Above-θ calls; every
-//! result must be identical to the single-threaded `&mut` run. This is the
-//! invariant `lemp-serve` builds on: after `warm`, the hot path only reads
-//! the engine, so the retrieval phase is embarrassingly parallel across
-//! requests (the paper runs single-threaded only as an experimental
-//! control, Sec. 6).
+//! One engine is warmed once and then shared (a plain `&dyn Engine`, no
+//! locking) by many threads running interleaved Row-Top-k and Above-θ
+//! calls; every result must be identical to the single-threaded one-shot
+//! run. This is the invariant `lemp-serve` builds on: after `warm`, the hot
+//! path only reads the engine, so the retrieval phase is embarrassingly
+//! parallel across requests (the paper runs single-threaded only as an
+//! experimental control, Sec. 6).
 
-use lemp_baselines::types::{canonical_pairs, topk_equivalent};
+use lemp_baselines::types::{canonical_pairs, topk_equivalent, Entry, TopKLists};
 use lemp_baselines::Naive;
 use lemp_core::shard::ShardPolicy;
-use lemp_core::{AdaptiveConfig, BucketPolicy, ShardedLemp};
+use lemp_core::{AdaptiveConfig, BucketPolicy, Engine, QueryRequest, QueryResponse, ShardedLemp};
 use lemp_core::{DynamicLemp, Lemp, LempVariant, RunConfig, WarmGoal};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::VectorStore;
@@ -20,6 +20,25 @@ fn fixture(m: usize, n: usize, seed: u64) -> (VectorStore, VectorStore) {
     let q = GeneratorConfig::gaussian(m, 10, 1.0).generate(seed);
     let p = GeneratorConfig::gaussian(n, 10, 1.2).generate(seed + 1);
     (q, p)
+}
+
+/// Runs one request with a fresh scratch.
+fn run(engine: &dyn Engine, q: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.run(&request, q, &mut engine.query_scratch())
+}
+
+/// Naive |Above-θ|: the entries of `q` and of `−q` above `theta`.
+fn naive_abs(q: &VectorStore, p: &VectorStore, theta: f64) -> Vec<Entry> {
+    let (mut entries, _) = Naive.above_theta(q, p, theta);
+    let (below, _) = Naive.above_theta(&q.negated(), p, theta);
+    entries.extend(below.iter().map(|e| Entry { value: -e.value, ..*e }));
+    entries
+}
+
+/// Naive floored Row-Top-k: the plain lists filtered by the floor.
+fn naive_floored(q: &VectorStore, p: &VectorStore, k: usize, floor: f64) -> TopKLists {
+    let (lists, _) = Naive.row_top_k(q, p, k);
+    lists.into_iter().map(|l| l.into_iter().filter(|it| it.score >= floor).collect()).collect()
 }
 
 #[test]
@@ -38,8 +57,7 @@ fn warm_then_shared_matches_mut_paths() {
         assert!(engine.is_warm());
         assert!(report.indexes_built > 0, "{}: warm must build indexes", variant.name());
 
-        let mut scratch = engine.make_scratch();
-        let above = engine.above_theta_shared(&q, 1.1, &mut scratch);
+        let above = run(&engine, &q, QueryRequest::above_theta(1.1)).into_above();
         assert_eq!(
             canonical_pairs(&above.entries),
             canonical_pairs(&above_expect.entries),
@@ -47,7 +65,7 @@ fn warm_then_shared_matches_mut_paths() {
             variant.name()
         );
         assert_eq!(above.stats.indexes_built, 0, "shared path must not build");
-        let topk = engine.row_top_k_shared(&q, 5, &mut scratch);
+        let topk = run(&engine, &q, QueryRequest::top_k(5)).into_top_k();
         assert!(
             topk_equivalent(&topk.lists, &topk_expect.lists, 1e-9),
             "{} shared Row-Top-k diverges",
@@ -66,8 +84,7 @@ fn blsh_warm_shared_matches_mut() {
     let expect = reference.above_theta(&q, 1.0);
     let mut engine = Lemp::builder().variant(LempVariant::Blsh).build(&p);
     engine.warm(&q, WarmGoal::Above(1.0));
-    let mut scratch = engine.make_scratch();
-    let got = engine.above_theta_shared(&q, 1.0, &mut scratch);
+    let got = run(&engine, &q, QueryRequest::above_theta(1.0)).into_above();
     assert_eq!(canonical_pairs(&got.entries), canonical_pairs(&expect.entries));
 }
 
@@ -77,37 +94,40 @@ fn n_threads_sharing_one_engine_match_single_threaded_run() {
     let k = 7;
     let theta = 1.0;
 
-    // Single-threaded ground truth through the classic `&mut` API.
+    // Single-threaded ground truth through the one-shot `&mut` driver.
     let mut reference = Lemp::builder().sample_size(8).build(&p);
     let topk_expect = reference.row_top_k(&q, k);
     let above_expect = reference.above_theta(&q, theta);
 
     let mut engine = Lemp::builder().sample_size(8).build(&p);
     engine.warm(&q, WarmGoal::TopK(k));
-    let engine = engine; // freeze: from here on, shared borrows only
+    let engine: &dyn Engine = &engine; // from here on, shared borrows only
+    let (topk_plan, above_plan) =
+        (engine.plan(&QueryRequest::top_k(k)), engine.plan(&QueryRequest::above_theta(theta)));
 
     const THREADS: usize = 8;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (engine, q) = (&engine, &q);
+                let q = &q;
                 let (topk_expect, above_expect) = (&topk_expect, &above_expect);
+                let (topk_plan, above_plan) = (&topk_plan, &above_plan);
                 scope.spawn(move || {
-                    let mut scratch = engine.make_scratch();
+                    let mut scratch = engine.query_scratch();
                     // Interleave the two problems so index reads overlap in
                     // as many ways as possible across threads.
                     for round in 0..3 {
                         if (t + round) % 2 == 0 {
-                            let top = engine.row_top_k_shared(q, k, &mut scratch);
-                            let above = engine.above_theta_shared(q, theta, &mut scratch);
+                            let top = engine.execute(topk_plan, q, &mut scratch).into_top_k();
+                            let above = engine.execute(above_plan, q, &mut scratch).into_above();
                             assert!(topk_equivalent(&top.lists, &topk_expect.lists, 1e-9));
                             assert_eq!(
                                 canonical_pairs(&above.entries),
                                 canonical_pairs(&above_expect.entries)
                             );
                         } else {
-                            let above = engine.above_theta_shared(q, theta, &mut scratch);
-                            let top = engine.row_top_k_shared(q, k, &mut scratch);
+                            let above = engine.execute(above_plan, q, &mut scratch).into_above();
+                            let top = engine.execute(topk_plan, q, &mut scratch).into_top_k();
                             assert_eq!(
                                 canonical_pairs(&above.entries),
                                 canonical_pairs(&above_expect.entries)
@@ -127,49 +147,49 @@ fn n_threads_sharing_one_engine_match_single_threaded_run() {
 #[test]
 fn shared_floor_abs_adaptive_and_chunked_match() {
     let (q, p) = fixture(40, 250, 9300);
-    let mut reference = Lemp::builder().sample_size(8).build(&p);
-    let floor_expect = reference.row_top_k_with_floor(&q, 4, 0.8);
-    let abs_expect = reference.abs_above_theta(&q, 1.2);
-
     let mut engine = Lemp::builder().sample_size(8).build(&p);
     engine.warm(&q, WarmGoal::Above(1.2));
-    let mut scratch = engine.make_scratch();
+    let engine: &dyn Engine = &engine;
+    let mut scratch = engine.query_scratch();
+    let mut run = |request: QueryRequest| engine.run(&request, &q, &mut scratch);
 
-    let floored = engine.row_top_k_with_floor_shared(&q, 4, 0.8, &mut scratch);
-    assert!(topk_equivalent(&floored.lists, &floor_expect.lists, 1e-9));
+    let floored = run(QueryRequest::top_k_with_floor(4, 0.8)).into_top_k();
+    assert!(topk_equivalent(&floored.lists, &naive_floored(&q, &p, 4, 0.8), 1e-9));
 
-    let abs = engine.abs_above_theta_shared(&q, 1.2, &mut scratch);
-    assert_eq!(canonical_pairs(&abs.entries), canonical_pairs(&abs_expect.entries));
+    let abs = run(QueryRequest::abs_above_theta(1.2)).into_above();
+    assert_eq!(canonical_pairs(&abs.entries), canonical_pairs(&naive_abs(&q, &p, 1.2)));
 
     // Adaptive (bandit) selection over the shared engine: exact results,
-    // learning state in the caller's selector.
+    // learning state in the caller's scratch.
     let acfg = AdaptiveConfig::default();
-    let mut selector = engine.adaptive_selector(&acfg);
-    let above = engine.above_theta_adaptive_shared(&q, 1.2, &mut selector, &mut scratch);
+    let above = run(QueryRequest::above_theta(1.2).adaptive(acfg)).into_above();
     let (expect_entries, _) = Naive.above_theta(&q, &p, 1.2);
     assert_eq!(canonical_pairs(&above.entries), canonical_pairs(&expect_entries));
-    assert!(selector.total_pulls() > 0);
-    let topk = engine.row_top_k_adaptive_shared(&q, 4, &mut selector, &mut scratch);
+    let topk = run(QueryRequest::top_k(4).adaptive(acfg)).into_top_k();
     let (expect_topk, _) = Naive.row_top_k(&q, &p, 4);
     assert!(topk_equivalent(&topk.lists, &expect_topk, 1e-9));
 
     // Chunked streaming through &self.
+    let mono = run(QueryRequest::above_theta(1.2)).into_above();
     let mut collected = Vec::new();
-    engine
-        .above_theta_chunked_shared(&q, 1.2, 7, &mut scratch, |es| collected.extend_from_slice(es));
-    let mono = engine.above_theta_shared(&q, 1.2, &mut scratch);
+    let plan = engine.plan(&QueryRequest::above_theta(1.2).chunked(7));
+    engine.execute_stream(&plan, &q, &mut scratch, &mut |_, block| {
+        collected.extend_from_slice(block.entries().unwrap())
+    });
     assert_eq!(canonical_pairs(&collected), canonical_pairs(&mono.entries));
-    let mut lists = vec![Vec::new(); q.len()];
-    engine.row_top_k_chunked_shared(&q, 4, 9, &mut scratch, |qid, list| {
-        lists[qid as usize] = list.to_vec()
+    assert!(scratch.adaptive_reports()[0].total_pulls() > 0);
+    let mut lists = Vec::new();
+    let plan = engine.plan(&QueryRequest::top_k(4).chunked(9));
+    engine.execute_stream(&plan, &q, &mut scratch, &mut |_, block| {
+        lists.extend(block.into_top_k().lists)
     });
     assert!(topk_equivalent(&lists, &expect_topk, 1e-9));
 }
 
 #[test]
 fn mut_wrappers_are_shims_after_warm() {
-    // After warm, the &mut convenience wrappers route through the shared
-    // path: results stay identical and no further indexes are built.
+    // After warm, the one-shot &mut methods route through `Engine::run`:
+    // results stay identical and no further indexes are built.
     let (q, p) = fixture(30, 200, 9400);
     let mut engine = Lemp::builder().sample_size(8).build(&p);
     let before = engine.row_top_k(&q, 3);
@@ -211,8 +231,7 @@ fn dynamic_engine_stays_warm_across_edits() {
         v.sort_unstable();
         v
     };
-    let mut scratch = engine.make_scratch();
-    let got = engine.above_theta_shared(&q, 1.5, &mut scratch);
+    let got = run(&engine, &q, QueryRequest::above_theta(1.5)).into_above();
     assert_eq!(canonical_pairs(&got.entries), expect);
     assert_eq!(got.stats.indexes_built, 0, "edits must re-warm eagerly");
 
@@ -228,10 +247,9 @@ fn dynamic_engine_stays_warm_across_edits() {
         .collect();
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let (engine, q, expect_topk) = (&engine, &q, &expect_topk);
+            let (engine, q, expect_topk): (&dyn Engine, _, _) = (&engine, &q, &expect_topk);
             scope.spawn(move || {
-                let mut scratch = engine.make_scratch();
-                let top = engine.row_top_k_shared(q, 5, &mut scratch);
+                let top = run(engine, q, QueryRequest::top_k(5)).into_top_k();
                 assert!(topk_equivalent(&top.lists, expect_topk, 1e-9));
             });
         }
@@ -240,7 +258,7 @@ fn dynamic_engine_stays_warm_across_edits() {
     // Compaction keeps the engine warm too.
     engine.rebuild();
     assert!(engine.is_warm());
-    let got = engine.above_theta_shared(&q, 1.5, &mut scratch);
+    let got = run(&engine, &q, QueryRequest::above_theta(1.5)).into_above();
     assert_eq!(canonical_pairs(&got.entries), expect);
 }
 
@@ -253,9 +271,8 @@ fn n_threads_sharing_one_sharded_engine_match_single_threaded_run() {
     // Single-threaded ground truth: the unsharded warmed engine.
     let mut reference = Lemp::builder().sample_size(8).build(&p);
     reference.warm(&q, WarmGoal::TopK(k));
-    let mut rscratch = reference.make_scratch();
-    let topk_expect = reference.row_top_k_shared(&q, k, &mut rscratch);
-    let above_expect = reference.above_theta_shared(&q, theta, &mut rscratch);
+    let topk_expect = run(&reference, &q, QueryRequest::top_k(k)).into_top_k();
+    let above_expect = run(&reference, &q, QueryRequest::above_theta(theta)).into_above();
 
     let mut engine = ShardedLemp::builder()
         .shards(3)
@@ -264,22 +281,24 @@ fn n_threads_sharing_one_sharded_engine_match_single_threaded_run() {
         .threads(2) // shard fan-out *inside* each request, on top of N clients
         .build(&p);
     engine.warm(&q, WarmGoal::TopK(k));
-    let engine = engine; // freeze: shared borrows only
+    let engine: &dyn Engine = &engine; // shared borrows only
 
     const THREADS: usize = 6;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (engine, q) = (&engine, &q);
+                let q = &q;
                 let (topk_expect, above_expect) = (&topk_expect, &above_expect);
                 scope.spawn(move || {
-                    let mut scratch = engine.make_scratch();
+                    let mut scratch = engine.query_scratch();
                     for round in 0..3 {
                         if (t + round) % 2 == 0 {
-                            let top = engine.row_top_k_shared(q, k, &mut scratch);
+                            let top =
+                                engine.run(&QueryRequest::top_k(k), q, &mut scratch).into_top_k();
                             assert!(topk_equivalent(&top.lists, &topk_expect.lists, 0.0));
                         } else {
-                            let above = engine.above_theta_shared(q, theta, &mut scratch);
+                            let request = QueryRequest::above_theta(theta);
+                            let above = engine.run(&request, q, &mut scratch).into_above();
                             assert_eq!(
                                 canonical_pairs(&above.entries),
                                 canonical_pairs(&above_expect.entries)
@@ -329,8 +348,7 @@ fn rebuild_under_changed_thread_count_preserves_warmth() {
             v.sort_unstable();
             v
         };
-        let mut scratch = engine.make_scratch();
-        let got = engine.above_theta_shared(&q, 1.2, &mut scratch);
+        let got = run(&engine, &q, QueryRequest::above_theta(1.2)).into_above();
         assert_eq!(canonical_pairs(&got.entries), expect, "threads={threads}");
         assert_eq!(
             got.stats.indexes_built, 0,
@@ -344,8 +362,7 @@ fn rebuild_under_changed_thread_count_preserves_warmth() {
 fn shared_query_without_warm_panics() {
     let (q, p) = fixture(5, 40, 9700);
     let engine = Lemp::builder().build(&p);
-    let mut scratch = engine.make_scratch();
-    let _ = engine.row_top_k_shared(&q, 2, &mut scratch);
+    let _ = run(&engine, &q, QueryRequest::top_k(2));
 }
 
 #[test]
@@ -362,8 +379,7 @@ fn from_engine_wraps_a_loaded_static_image() {
     assert_eq!(dynamic.next_id(), p.len() as u32);
     dynamic.warm(&q, WarmGoal::TopK(3));
     let (expect, _) = Naive.row_top_k(&q, &p, 3);
-    let mut scratch = dynamic.make_scratch();
-    let got = dynamic.row_top_k_shared(&q, 3, &mut scratch);
+    let got = run(&dynamic, &q, QueryRequest::top_k(3)).into_top_k();
     assert!(topk_equivalent(&got.lists, &expect, 1e-9));
     // …and it keeps accepting edits.
     let id = dynamic.insert(&[2.0; 10]).unwrap();

@@ -554,9 +554,9 @@ impl Server {
     /// Binds `addr` (use port `0` for an ephemeral port) over the given
     /// engine — a [`DynamicLemp`], a [`ShardedLemp`], or a prebuilt
     /// [`ServeEngine`]. An engine that is not yet warm is warmed here with
-    /// a sample of its own probe vectors — a service must never run the
-    /// lazy `&mut` path, so warmth is an invariant from the first request
-    /// on.
+    /// a sample of its own probe vectors — queries run only through
+    /// [`Engine`], which needs a warm engine, so warmth is an invariant from
+    /// the first request on.
     ///
     /// # Errors
     /// Propagates socket errors.
@@ -717,12 +717,53 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        if let Err(mut stream) = shared.queue.try_push(stream) {
+        if let Err(stream) = shared.queue.try_push(stream) {
             // Bounded queue full: shed immediately instead of stalling.
-            ServerStats::bump(&shared.stats.shed);
-            let _ = stream.set_write_timeout(shared.cfg.io_timeout);
-            let body = obj(vec![("error", Json::Str("overloaded".into()))]).render();
-            let _ = http::write_response(&mut stream, 503, &body);
+            shed(shared, stream);
+        }
+    }
+}
+
+/// Answers a connection the server cannot queue with `503 overloaded`.
+fn shed(shared: &Shared, stream: TcpStream) {
+    ServerStats::bump(&shared.stats.shed);
+    let _ = stream.set_write_timeout(shared.cfg.io_timeout);
+    let body = obj(vec![("error", Json::Str("overloaded".into()))]).render();
+    respond_early(stream, 503, &body);
+}
+
+/// How long [`respond_early`] waits for the next request bytes.
+const EARLY_DRAIN_IDLE: Duration = Duration::from_millis(20);
+/// How long [`respond_early`] keeps discarding request bytes, in total.
+const EARLY_DRAIN_TIMEOUT: Duration = Duration::from_millis(100);
+/// How many request bytes [`respond_early`] discards at most.
+const EARLY_DRAIN_CAP: usize = 1 << 20;
+
+/// Sends a response before the request was fully read (load shedding,
+/// 413, 431, malformed heads), then half-closes the socket and discards
+/// what the client still sends until EOF. Closing a socket with unread
+/// input makes the kernel answer with a reset, which can destroy the
+/// response before the client reads it. The drain stops after
+/// [`EARLY_DRAIN_IDLE`] without input, at the overall
+/// [`EARLY_DRAIN_TIMEOUT`], or at a byte cap, so a silent, slow or endless
+/// client holds the caller for a bounded time.
+fn respond_early(mut stream: TcpStream, status: u16, body: &str) {
+    use std::io::Read;
+    if http::write_response(&mut stream, status, body).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let end = Instant::now() + EARLY_DRAIN_TIMEOUT;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < EARLY_DRAIN_CAP {
+        let left = end.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left.min(EARLY_DRAIN_IDLE))).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
 }
@@ -763,12 +804,16 @@ fn respond(mut stream: TcpStream, status: u16, body: &Json) {
     let _ = http::write_response(&mut stream, status, &body.render());
 }
 
-fn respond_error(shared: &Shared, stream: TcpStream, status: u16, message: String) {
+fn count_error(shared: &Shared, status: u16) {
     if status >= 500 {
         ServerStats::bump(&shared.stats.server_errors);
     } else {
         ServerStats::bump(&shared.stats.client_errors);
     }
+}
+
+fn respond_error(shared: &Shared, stream: TcpStream, status: u16, message: String) {
+    count_error(shared, status);
     respond(stream, status, &obj(vec![("error", Json::Str(message))]));
 }
 
@@ -777,7 +822,12 @@ fn respond_http_error(shared: &Shared, stream: TcpStream, err: HttpError) {
         // Socket-level failure (e.g. read timeout): nothing to say to the
         // peer reliably; drop the connection.
         HttpError::Io(_) => ServerStats::bump(&shared.stats.client_errors),
-        HttpError::Bad { status, message } => respond_error(shared, stream, status, message),
+        // The request was rejected mid-read (oversized head or body, bad
+        // framing): part of it may still be in flight.
+        HttpError::Bad { status, message } => {
+            count_error(shared, status);
+            respond_early(stream, status, &obj(vec![("error", Json::Str(message))]).render());
+        }
     }
 }
 
@@ -1046,11 +1096,8 @@ fn handle_query(
                 // No bytes in flight (or peer already gone): requeue and
                 // stop draining. If the queue refilled meanwhile, shed —
                 // exactly what the acceptor would have done.
-                if let Err(mut next) = shared.queue.try_push(next) {
-                    ServerStats::bump(&shared.stats.shed);
-                    let _ = next.set_write_timeout(shared.cfg.io_timeout);
-                    let body = obj(vec![("error", Json::Str("overloaded".into()))]).render();
-                    let _ = http::write_response(&mut next, 503, &body);
+                if let Err(next) = shared.queue.try_push(next) {
+                    shed(shared, next);
                 }
                 break;
             }

@@ -6,7 +6,9 @@ use std::time::Duration;
 use lemp_baselines::types::topk_equivalent;
 use lemp_baselines::Naive;
 use lemp_core::shard::ShardPolicy;
-use lemp_core::{BucketPolicy, DynamicLemp, RunConfig, ShardedLemp, WarmGoal};
+use lemp_core::{
+    BucketPolicy, DynamicLemp, Engine, QueryRequest, RunConfig, ShardedLemp, WarmGoal,
+};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::{ScoredItem, VectorStore};
 use lemp_serve::client;
@@ -395,6 +397,86 @@ fn full_queue_sheds_with_503() {
 }
 
 #[test]
+fn slow_shed_client_does_not_stall_the_acceptor() {
+    // The acceptor drains a shed request before closing it. A client that
+    // trickles bytes must not hold it: the next overflow connection still
+    // gets its 503 promptly.
+    use std::io::Write;
+    let probes = fixture(60, 6);
+    let cfg = ServeConfig { workers: 0, queue_cap: 1, ..Default::default() };
+    let handle = boot(&probes, cfg);
+    let addr = handle.addr();
+    let _idle = std::net::TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let trickle_for = Duration::from_secs(3);
+    let mut slow = std::net::TcpStream::connect(addr).unwrap();
+    let trickler = std::thread::spawn(move || {
+        let start = std::time::Instant::now();
+        let _ = slow.write_all(b"POST /top-k HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n");
+        while start.elapsed() < trickle_for && slow.write_all(b"[").is_ok() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(50));
+
+    let start = std::time::Instant::now();
+    let (status, body) =
+        client::request(addr, "GET", "/healthz", None, Some(Duration::from_secs(5))).unwrap();
+    let waited = start.elapsed();
+    assert_eq!(status, 503, "{body:?}");
+    assert!(waited < Duration::from_secs(1), "the shed answer took {waited:?}");
+    trickler.join().unwrap();
+    handle.shutdown();
+}
+
+/// POSTs `body` the way a client on a slow link does — in 16 KiB pieces
+/// with a short pause between them — and returns the raw response.
+fn post_slowly(addr: std::net::SocketAddr, path: &str, body: &str) -> std::io::Result<String> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: lemp\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes())?;
+    for piece in body.as_bytes().chunks(16 << 10) {
+        stream.write_all(piece)?;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    Ok(raw)
+}
+
+#[test]
+fn oversized_bodies_get_a_readable_413() {
+    // The server rejects the body from its Content-Length before reading
+    // it. The 413 must still reach a client that is busy sending ~200 KB,
+    // instead of a connection reset cutting the upload short.
+    let probes = fixture(60, 8);
+    let handle = boot(&probes, ServeConfig { max_body: 1024, ..Default::default() });
+    let row = Json::Arr((0..DIM).map(|i| Json::Num(0.123456789 + i as f64)).collect());
+    let queries = Json::Arr(vec![row; 200_000 / (DIM * 12)]);
+    let body = obj(vec![("queries", queries), ("k", Json::Num(3.0))]).render();
+    assert!(body.len() > 150_000, "the body must far exceed the limit");
+    let tries = 20;
+    let mut answered = 0;
+    for _ in 0..tries {
+        if let Ok(raw) = post_slowly(handle.addr(), "/top-k", &body) {
+            assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
+            let reply = Json::parse(raw.split("\r\n\r\n").nth(1).unwrap_or("")).unwrap();
+            assert!(reply.get("error").and_then(Json::as_str).is_some(), "{raw}");
+            answered += 1;
+        }
+    }
+    assert!(answered >= tries - 1, "only {answered} of {tries} oversized requests got their 413");
+    handle.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_4xx_not_a_hang() {
     let probes = fixture(80, 7);
     let handle = boot(&probes, ServeConfig::default());
@@ -687,8 +769,8 @@ fn durable_server_survives_a_crash_and_recovery_matches() {
     let mut warm = recovered;
     let sample = fixture(16, 777);
     warm.warm(&sample, WarmGoal::TopK(k));
-    let mut scratch = warm.make_scratch();
-    let out = warm.row_top_k_shared(&queries, k, &mut scratch);
+    let mut scratch = warm.query_scratch();
+    let out = warm.run(&QueryRequest::top_k(k), &queries, &mut scratch).into_top_k();
     // Map naive's row indices to stable ids before comparing.
     let mapped: Vec<Vec<ScoredItem>> = naive
         .iter()

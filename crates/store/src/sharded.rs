@@ -540,13 +540,13 @@ impl lemp_core::Engine for ShardedDurableEngine {
         self.engine.refresh_plan(plan)
     }
 
-    fn execute(
+    fn execute_block(
         &self,
         plan: &lemp_core::QueryPlan,
         queries: &VectorStore,
         scratch: &mut lemp_core::Scratch,
     ) -> lemp_core::QueryResponse {
-        self.engine.execute(plan, queries, scratch)
+        self.engine.execute_block(plan, queries, scratch)
     }
 
     fn query_scratch(&self) -> lemp_core::Scratch {

@@ -870,13 +870,13 @@ impl lemp_core::Engine for DurableEngine {
         self.engine.plan(request)
     }
 
-    fn execute(
+    fn execute_block(
         &self,
         plan: &lemp_core::QueryPlan,
         queries: &VectorStore,
         scratch: &mut lemp_core::Scratch,
     ) -> lemp_core::QueryResponse {
-        self.engine.execute(plan, queries, scratch)
+        self.engine.execute_block(plan, queries, scratch)
     }
 
     fn query_scratch(&self) -> lemp_core::Scratch {

@@ -16,8 +16,9 @@
 use std::time::Instant;
 
 use lemp::baselines::types::topk_equivalent;
+use lemp::core::WarmGoal;
 use lemp::data::datasets::Dataset;
-use lemp::{AdaptiveConfig, BanditPolicy, Lemp, LempVariant};
+use lemp::{AdaptiveConfig, BanditPolicy, Engine, Lemp, LempVariant, QueryRequest};
 
 fn main() {
     let spec = Dataset::IeSvdT.spec().scaled(0.008);
@@ -31,12 +32,18 @@ fn main() {
     let tuned_out = tuned.row_top_k(&queries, k);
     let tuned_secs = t.elapsed().as_secs_f64();
 
-    // Adaptive: UCB1 bandits, LI flavor (LENGTH + INCR arms).
+    // Adaptive: UCB1 bandits, LI flavor (LENGTH + INCR arms), on a warmed
+    // engine. The bandit does not use the tuner, so the warm-up's tuning
+    // time is not charged to it.
     let acfg = AdaptiveConfig { policy: BanditPolicy::Ucb1 { c: 1.0 }, ..Default::default() };
     let t = Instant::now();
     let mut adaptive = Lemp::new(&probes);
-    let (adaptive_out, report) = adaptive.row_top_k_adaptive(&queries, k, &acfg);
-    let adaptive_secs = t.elapsed().as_secs_f64();
+    let warmed = adaptive.warm(&queries, WarmGoal::TopK(k));
+    let request = QueryRequest::top_k(k).adaptive(acfg);
+    let mut scratch = adaptive.query_scratch();
+    let adaptive_out = adaptive.run(&request, &queries, &mut scratch).into_top_k();
+    let adaptive_secs = t.elapsed().as_secs_f64() - warmed.tune_ns as f64 / 1e9;
+    let report = scratch.adaptive_reports().remove(0);
 
     assert!(
         topk_equivalent(&adaptive_out.lists, &tuned_out.lists, 1e-9),
@@ -82,22 +89,22 @@ fn main() {
         println!("  {range:>14}  {pulls:>7}  {exploit:<12}  {}", detail.join("  "));
     }
 
-    // Warm reuse: a long-lived service keeps the selector across calls, so
-    // the second batch starts from the learned state instead of exploring
-    // from scratch.
-    let mut selector = adaptive.adaptive_selector(&acfg);
+    // Warm reuse: a long-lived service keeps its scratch (and with it the
+    // learning state) across calls, so the second batch starts from the
+    // learned state instead of exploring from scratch.
+    let mut scratch = adaptive.query_scratch();
     let t = Instant::now();
-    let cold = adaptive.row_top_k_adaptive_with(&queries, k, &mut selector);
+    let cold = adaptive.run(&request, &queries, &mut scratch).into_top_k();
     let cold_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let warm = adaptive.row_top_k_adaptive_with(&queries, k, &mut selector);
+    let warm = adaptive.run(&request, &queries, &mut scratch).into_top_k();
     let warm_secs = t.elapsed().as_secs_f64();
     assert!(topk_equivalent(&warm.lists, &cold.lists, 1e-9));
     println!(
-        "\nwarm reuse of one selector: first batch {:.1} ms, second batch {:.1} ms \
+        "\nwarm reuse of one scratch: first batch {:.1} ms, second batch {:.1} ms \
          ({} total pulls recorded)",
         cold_secs * 1e3,
         warm_secs * 1e3,
-        selector.total_pulls()
+        scratch.adaptive_reports()[0].total_pulls()
     );
 }

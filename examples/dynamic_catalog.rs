@@ -15,9 +15,9 @@
 
 use lemp::baselines::types::{canonical_pairs, topk_equivalent};
 use lemp::core::dynamic::DynamicLemp;
-use lemp::core::RunConfig;
+use lemp::core::{RunConfig, WarmGoal};
 use lemp::data::datasets::Dataset;
-use lemp::{BucketPolicy, Lemp};
+use lemp::{BucketPolicy, Engine, Lemp, QueryRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,6 +28,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(99);
 
     let mut engine = DynamicLemp::new(&items, BucketPolicy::default(), RunConfig::default());
+    // Warm once: every edit below re-indexes the buckets it touches, so the
+    // engine stays warm and queries never build indexes.
+    engine.warm(&users, WarmGoal::TopK(k));
+    let mut scratch = engine.query_scratch();
     println!(
         "catalog: {} items (r = {}), cohort: {} users, top-{k} per user\n",
         engine.len(),
@@ -54,7 +58,7 @@ fn main() {
         }
 
         // Query the live catalog.
-        let top = engine.row_top_k(&users, k);
+        let top = engine.run(&QueryRequest::top_k(k), &users, &mut scratch).into_top_k();
         let answered = top.lists.iter().filter(|l| !l.is_empty()).count();
 
         // Cross-check against a cold build over the same live vectors.
@@ -69,7 +73,7 @@ fn main() {
         let mut expected: Vec<(u32, u32)> =
             cold_above.entries.iter().map(|e| (e.query, ids[e.probe as usize])).collect();
         expected.sort_unstable();
-        let above = engine.above_theta(&users, 1.0);
+        let above = engine.run(&QueryRequest::above_theta(1.0), &users, &mut scratch).into_above();
         assert_eq!(canonical_pairs(&above.entries), expected, "hour {hour}: Above-θ diverges");
 
         println!(

@@ -21,9 +21,10 @@ use std::time::Instant;
 
 use lemp::baselines::types::canonical_pairs;
 use lemp::baselines::Naive;
+use lemp::core::WarmGoal;
 use lemp::data::calibrate;
 use lemp::data::datasets::Dataset;
-use lemp::{Lemp, LempVariant};
+use lemp::{Engine, Lemp, LempVariant, QueryRequest};
 
 fn main() {
     // IE-NMF at 1/200 of the paper's size: ~3.9K patterns × 660 arguments.
@@ -85,7 +86,9 @@ fn main() {
         .expect("valid calibration target");
 
     let mut engine = Lemp::builder().variant(LempVariant::LI).build(&probes);
-    let out = engine.abs_above_theta(&queries, theta);
+    engine.warm(&queries, WarmGoal::Above(theta));
+    let request = QueryRequest::abs_above_theta(theta);
+    let out = engine.run(&request, &queries, &mut engine.query_scratch()).into_above();
     let likely = out.entries.iter().filter(|e| e.value > 0.0).count();
     let unlikely = out.entries.len() - likely;
     println!("|entry| ≥ {theta:.4}: {likely} high-confidence facts, {unlikely} unlikely facts");

@@ -2,17 +2,19 @@
 //!
 //! The open-IE workload of the paper asks for *all* high-confidence facts
 //! — at permissive thresholds that result set dwarfs the factor matrices.
-//! This example runs the chunked driver over an IE-SVD-like dataset,
-//! writing each chunk's entries straight to a CSV file instead of
-//! accumulating them, and reports the peak in-memory entry count next to
-//! the total written. A monolithic run validates the output.
+//! This example runs a chunked request over an IE-SVD-like dataset through
+//! `Engine::execute_stream`, writing each block's entries straight to a
+//! CSV file instead of accumulating them, and reports the peak in-memory
+//! entry count next to the total written. A monolithic run validates the
+//! output.
 //!
 //! Run with: `cargo run --release --example streaming_export`
 
-use lemp::baselines::export::{read_entries_csv, write_entries_csv};
+use lemp::baselines::export::{read_entries_csv, write_entries_csv, write_entry_rows};
 use lemp::baselines::types::canonical_pairs;
+use lemp::core::WarmGoal;
 use lemp::data::datasets::Dataset;
-use lemp::Lemp;
+use lemp::{Engine, Lemp, QueryRequest, RunStats};
 
 fn main() {
     let spec = Dataset::IeSvd.spec().scaled(0.004);
@@ -30,18 +32,21 @@ fn main() {
     let file = std::fs::File::create(&path).expect("writable temp dir");
     let mut writer = std::io::BufWriter::new(file);
 
-    // Stream: each chunk's entries go to disk, memory stays bounded.
+    // Stream: each block's entries go to disk, memory stays bounded.
     use std::io::Write;
-    writeln!(writer, "query,probe,value").unwrap();
+    write_entries_csv(&mut writer, &[]).unwrap(); // the header
     let mut engine = Lemp::builder().build(&probes);
+    let warmed = engine.warm(&queries, WarmGoal::Above(theta));
+    let plan = engine.plan(&QueryRequest::above_theta(theta).chunked(chunk_size));
     let mut total = 0usize;
     let mut peak_in_memory = 0usize;
-    let stats = engine.above_theta_chunked(&queries, theta, chunk_size, |entries| {
+    let mut stats = RunStats::default();
+    engine.execute_stream(&plan, &queries, &mut engine.query_scratch(), &mut |_, block| {
+        let entries = block.entries().expect("Above-θ blocks hold entries");
         peak_in_memory = peak_in_memory.max(entries.len());
-        for e in entries {
-            writeln!(writer, "{},{},{:?}", e.query, e.probe, e.value).unwrap();
-        }
+        write_entry_rows(&mut writer, entries).unwrap();
         total += entries.len();
+        stats.merge(&block.stats);
     });
     writer.flush().unwrap();
 
@@ -51,10 +56,10 @@ fn main() {
         total as f64 / peak_in_memory.max(1) as f64
     );
     println!(
-        "stats: {} candidates/query, {} buckets, {} lazily built indexes, {:.3}s total",
+        "stats: {} candidates/query, {} buckets, {} indexes built at warm-up, {:.3}s total",
         stats.counters.candidates_per_query() as u64,
         stats.bucket_count,
-        stats.indexes_built,
+        warmed.indexes_built,
         stats.counters.total_seconds()
     );
 

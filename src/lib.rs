@@ -52,8 +52,7 @@ pub use lemp_linalg as linalg;
 pub use lemp_store as store;
 
 pub use lemp_core::{
-    AboveThetaOutput, AdaptiveConfig, AdaptiveReport, AdaptiveSelector, BanditPolicy, BucketPolicy,
-    DynamicLemp, Engine, Entry, ExecOptions, Lemp, LempBuilder, LempVariant, QueryKind, QueryPlan,
-    QueryRequest, QueryResponse, QueryRows, RetrievalCounters, RunStats, Scratch, ShardedLemp,
-    TopKOutput,
+    AboveThetaOutput, AdaptiveConfig, AdaptiveReport, BanditPolicy, BucketPolicy, DynamicLemp,
+    Engine, Entry, ExecOptions, Lemp, LempBuilder, LempVariant, QueryKind, QueryPlan, QueryRequest,
+    QueryResponse, QueryRows, RetrievalCounters, RunStats, Scratch, ShardedLemp, TopKOutput,
 };

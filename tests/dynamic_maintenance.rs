@@ -6,9 +6,15 @@ use lemp::baselines::types::{canonical_pairs, topk_equivalent};
 use lemp::baselines::Naive;
 use lemp::core::dynamic::DynamicLemp;
 use lemp::core::RunConfig;
+use lemp::core::WarmGoal;
 use lemp::linalg::VectorStore;
-use lemp::{BucketPolicy, LempVariant};
+use lemp::{BucketPolicy, Engine, LempVariant, QueryRequest, QueryResponse};
 use proptest::prelude::*;
+
+/// Runs `request` on a warmed dynamic engine with a fresh scratch.
+fn run(engine: &DynamicLemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.run(&request, queries, &mut engine.query_scratch())
+}
 
 /// One edit: insert a vector (length scale spread over three decades to
 /// exercise all routing branches) or remove an id that may or may not be
@@ -122,9 +128,12 @@ proptest! {
         let (ids, mirror) = apply_mirror(&initial, &edits);
         prop_assert_eq!(engine.len(), mirror.len());
 
+        // Warming after the script tunes the edited layout; the rebuild
+        // below keeps the engine warm.
         let queries = small_store(dim, 8, seed + 1);
         let theta = 0.4;
-        let got = engine.above_theta(&queries, theta);
+        engine.warm(&queries, WarmGoal::Above(theta));
+        let got = run(&engine, &queries, QueryRequest::above_theta(theta)).into_above();
         let (expect, _) = Naive.above_theta(&queries, &mirror, theta);
         let expect_pairs: Vec<(u32, u32)> = {
             let mut v: Vec<(u32, u32)> =
@@ -135,13 +144,13 @@ proptest! {
         prop_assert_eq!(canonical_pairs(&got.entries), expect_pairs);
 
         let k = 3;
-        let got = engine.row_top_k(&queries, k);
+        let got = run(&engine, &queries, QueryRequest::top_k(k)).into_top_k();
         let (expect, _) = Naive.row_top_k(&queries, &mirror, k);
         prop_assert!(topk_equivalent(&got.lists, &expect, 1e-9));
 
         // Rebuild must not change anything either.
         engine.rebuild();
-        let got = engine.row_top_k(&queries, k);
+        let got = run(&engine, &queries, QueryRequest::top_k(k)).into_top_k();
         prop_assert!(topk_equivalent(&got.lists, &expect, 1e-9));
     }
 }
@@ -157,7 +166,9 @@ fn heavy_churn_with_every_variant_stays_exact() {
         let policy = BucketPolicy { min_bucket: 8, ..Default::default() };
         let config = RunConfig { variant, sample_size: 4, ..Default::default() };
         let mut engine = DynamicLemp::new(&initial, policy, config);
-        // interleave queries with edits: indexes must invalidate correctly
+        engine.warm(&queries, WarmGoal::Above(0.8));
+        // interleave queries with edits: each edit must re-index the
+        // buckets it touched before the next query reads them
         for round in 0..4u64 {
             for i in 0..10 {
                 engine.remove((round * 13 + i * 7) as u32 % engine.next_id());
@@ -168,7 +179,7 @@ fn heavy_churn_with_every_variant_stays_exact() {
                 engine.insert(&v).unwrap();
             }
             let (ids, mirror) = engine.live_vectors();
-            let got = engine.above_theta(&queries, 0.8);
+            let got = run(&engine, &queries, QueryRequest::above_theta(0.8)).into_above();
             let (expect, _) = Naive.above_theta(&queries, &mirror, 0.8);
             let expect_pairs: Vec<(u32, u32)> = {
                 let mut v: Vec<(u32, u32)> =
@@ -191,10 +202,12 @@ fn interleaved_queries_see_each_edit_immediately() {
     let initial = small_store(4, 20, 9);
     let queries = small_store(4, 5, 10);
     let mut engine = DynamicLemp::new(&initial, BucketPolicy::default(), RunConfig::default());
-    let before = engine.row_top_k(&queries, 1);
+    engine.warm(&queries, WarmGoal::TopK(1));
+    let top1 = QueryRequest::top_k(1);
+    let before = run(&engine, &queries, top1).into_top_k();
     // Insert a vector that dominates every query's top-1 by sheer length.
     let id = engine.insert(&[1e4, 1e4, 1e4, 1e4]).unwrap();
-    let after = engine.row_top_k(&queries, 1);
+    let after = run(&engine, &queries, top1).into_top_k();
     for (q, (b, a)) in before.lists.iter().zip(&after.lists).enumerate() {
         assert!(
             a[0].id == id as usize || a[0].score >= b[0].score,
@@ -203,6 +216,6 @@ fn interleaved_queries_see_each_edit_immediately() {
     }
     // Remove it again: results return to the originals.
     engine.remove(id);
-    let restored = engine.row_top_k(&queries, 1);
+    let restored = run(&engine, &queries, top1).into_top_k();
     assert!(topk_equivalent(&restored.lists, &before.lists, 1e-9));
 }

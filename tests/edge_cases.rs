@@ -4,10 +4,17 @@ use lemp::baselines::types::{canonical_pairs, topk_equivalent};
 use lemp::baselines::Naive;
 use lemp::data::synthetic::GeneratorConfig;
 use lemp::linalg::VectorStore;
-use lemp::{Lemp, LempVariant};
+use lemp::{Engine, Lemp, LempVariant, QueryRequest, QueryResponse};
 
 fn engine_for(probes: &VectorStore, variant: LempVariant) -> Lemp {
     Lemp::builder().variant(variant).sample_size(4).build(probes)
+}
+
+/// Warms `engine` on `queries` for `request` and runs it through the
+/// unified query surface.
+fn run(engine: &mut Lemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.warm(queries, request.kind.warm_goal());
+    engine.run(&request, queries, &mut engine.query_scratch())
 }
 
 fn exact_variants() -> impl Iterator<Item = LempVariant> {
@@ -216,7 +223,7 @@ fn abs_above_with_degenerate_inputs() {
     let p = VectorStore::from_rows(&[vec![2.0]]).unwrap();
     let q = VectorStore::from_rows(&[vec![1.0], vec![-1.0], vec![0.0]]).unwrap();
     let mut engine = Lemp::new(&p);
-    let out = engine.abs_above_theta(&q, 1.5);
+    let out = run(&mut engine, &q, QueryRequest::abs_above_theta(1.5)).into_above();
     let mut got: Vec<Entry> = out.entries.clone();
     got.sort_by_key(|e| e.query);
     assert_eq!(got.len(), 2);
@@ -224,10 +231,11 @@ fn abs_above_with_degenerate_inputs() {
     assert_eq!((got[1].query, got[1].value), (1, -2.0));
     // Zero queries: nothing qualifies (|0| < θ).
     let zeros = VectorStore::from_rows(&[vec![0.0]]).unwrap();
-    assert!(engine.abs_above_theta(&zeros, 0.1).entries.is_empty());
+    let abs = QueryRequest::abs_above_theta(0.1);
+    assert!(run(&mut engine, &zeros, abs).entries().unwrap().is_empty());
     // Empty query set.
     let empty = VectorStore::empty(1).unwrap();
-    assert!(engine.abs_above_theta(&empty, 0.1).entries.is_empty());
+    assert!(run(&mut engine, &empty, abs).entries().unwrap().is_empty());
 }
 
 #[test]
@@ -235,8 +243,8 @@ fn abs_above_duplicate_probes_report_each_copy() {
     let p = VectorStore::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0], vec![-1.0, -1.0]]).unwrap();
     let q = VectorStore::from_rows(&[vec![2.0, 0.0]]).unwrap();
     let mut engine = Lemp::new(&p);
-    let out = engine.abs_above_theta(&q, 1.9);
-    let pairs = canonical_pairs(&out.entries);
+    let out = run(&mut engine, &q, QueryRequest::abs_above_theta(1.9));
+    let pairs = canonical_pairs(out.entries().unwrap());
     assert_eq!(pairs, vec![(0, 0), (0, 1), (0, 2)]);
 }
 
@@ -250,7 +258,7 @@ fn floored_topk_with_all_variants_on_duplicates() {
     let q = VectorStore::from_rows(&[vec![1.0, 0.0]]).unwrap();
     for variant in exact_variants() {
         let mut engine = engine_for(&p, variant);
-        let out = engine.row_top_k_with_floor(&q, 4, 2.0);
+        let out = run(&mut engine, &q, QueryRequest::top_k_with_floor(4, 2.0)).into_top_k();
         assert_eq!(out.lists[0].len(), 2, "{}", variant.name());
         assert!(out.lists[0].iter().all(|i| i.score == 3.0), "{}", variant.name());
     }
@@ -263,7 +271,7 @@ fn floor_between_negative_scores() {
     let p = VectorStore::from_rows(&[vec![-1.0, 0.0], vec![-2.0, 0.0], vec![-3.0, 0.0]]).unwrap();
     let q = VectorStore::from_rows(&[vec![1.0, 0.0]]).unwrap();
     let mut engine = Lemp::new(&p);
-    let out = engine.row_top_k_with_floor(&q, 3, -2.5);
+    let out = run(&mut engine, &q, QueryRequest::top_k_with_floor(3, -2.5)).into_top_k();
     let ids: Vec<usize> = out.lists[0].iter().map(|i| i.id).collect();
     assert_eq!(ids, vec![0, 1], "keeps −1 and −2, drops −3");
 }
@@ -288,8 +296,13 @@ fn adaptive_degenerate_configurations_stay_exact() {
         },
     ] {
         let mut engine = Lemp::new(&probes);
-        let (out, report) = engine.above_theta_adaptive(&queries, 0.8, &acfg);
-        assert_eq!(canonical_pairs(&out.entries), canonical_pairs(&expect), "{acfg:?} diverged");
+        engine.warm(&queries, lemp::core::WarmGoal::Above(0.8));
+        let mut scratch = engine.query_scratch();
+        let out =
+            engine.run(&QueryRequest::above_theta(0.8).adaptive(acfg), &queries, &mut scratch);
+        let entries = out.entries().unwrap();
+        assert_eq!(canonical_pairs(entries), canonical_pairs(&expect), "{acfg:?} diverged");
+        let report = &scratch.adaptive_reports()[0];
         assert_eq!(report.total_pulls(), out.stats.method_mix.total());
     }
 }
@@ -301,9 +314,10 @@ fn adaptive_handles_zero_and_single_probe_buckets() {
     let q = VectorStore::from_rows(&[vec![1.0, 1.0], vec![0.0, 0.0]]).unwrap();
     let (expect, _) = Naive.above_theta(&q, &p, -0.5); // θ ≤ 0 reaches zero buckets
     let mut engine = Lemp::new(&p);
-    let (out, _) = engine.above_theta_adaptive(&q, -0.5, &AdaptiveConfig::default());
-    assert_eq!(canonical_pairs(&out.entries), canonical_pairs(&expect));
+    let adaptive = QueryRequest::above_theta(-0.5).adaptive(AdaptiveConfig::default());
+    let out = run(&mut engine, &q, adaptive);
+    assert_eq!(canonical_pairs(out.entries().unwrap()), canonical_pairs(&expect));
     let (expect_k, _) = Naive.row_top_k(&q, &p, 2);
-    let (out, _) = engine.row_top_k_adaptive(&q, 2, &AdaptiveConfig::default());
-    assert!(topk_equivalent(&out.lists, &expect_k, 1e-9));
+    let out = run(&mut engine, &q, QueryRequest::top_k(2).adaptive(AdaptiveConfig::default()));
+    assert!(topk_equivalent(out.lists().unwrap(), &expect_k, 1e-9));
 }

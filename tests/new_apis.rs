@@ -1,17 +1,34 @@
 //! Integration tests for the extension APIs — |Above-θ|, floored Row-Top-k
-//! and adaptive selection — across crate boundaries: persisted engine
-//! images, multi-threaded configurations, and the facade re-exports.
+//! and adaptive selection, all requests of the unified query surface —
+//! across crate boundaries: persisted engine images, multi-threaded
+//! configurations, and the facade re-exports.
 
 use lemp::baselines::types::{canonical_pairs, topk_equivalent};
 use lemp::baselines::Naive;
 use lemp::data::synthetic::GeneratorConfig;
 use lemp::linalg::VectorStore;
-use lemp::{AdaptiveConfig, BanditPolicy, Lemp, LempVariant};
+use lemp::{
+    AdaptiveConfig, AdaptiveReport, BanditPolicy, Engine, Lemp, LempVariant, QueryRequest,
+    QueryResponse,
+};
 
 fn data(m: usize, n: usize, cov: f64, seed: u64) -> (VectorStore, VectorStore) {
     let q = GeneratorConfig::gaussian(m, 12, cov).generate(seed);
     let p = GeneratorConfig::gaussian(n, 12, cov).generate(seed + 1);
     (q, p)
+}
+
+/// Warms `engine` on `queries` for `request` and runs it; also returns
+/// what the adaptive bandits learned (empty for tuned requests).
+fn run(
+    engine: &mut Lemp,
+    queries: &VectorStore,
+    request: QueryRequest,
+) -> (QueryResponse, Vec<AdaptiveReport>) {
+    engine.warm(queries, request.kind.warm_goal());
+    let mut scratch = engine.query_scratch();
+    let out = engine.run(&request, queries, &mut scratch);
+    (out, scratch.adaptive_reports())
 }
 
 fn temp(tag: &str) -> std::path::PathBuf {
@@ -25,15 +42,15 @@ fn abs_above_on_reloaded_engine_matches_fresh() {
     let (q, p) = data(40, 300, 1.0, 9000);
     let theta = 1.1;
     let mut fresh = Lemp::builder().variant(LempVariant::LI).build(&p);
-    let expect = fresh.abs_above_theta(&q, theta);
-    assert!(!expect.entries.is_empty(), "fixture must produce results");
-
     let path = temp("abs");
     fresh.save(&path).unwrap();
+    let (expect, _) = run(&mut fresh, &q, QueryRequest::abs_above_theta(theta));
+    assert!(!expect.entries().unwrap().is_empty(), "fixture must produce results");
+
     let mut loaded = Lemp::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    let got = loaded.abs_above_theta(&q, theta);
-    assert_eq!(canonical_pairs(&got.entries), canonical_pairs(&expect.entries));
+    let (got, _) = run(&mut loaded, &q, QueryRequest::abs_above_theta(theta));
+    assert_eq!(canonical_pairs(got.entries().unwrap()), canonical_pairs(expect.entries().unwrap()));
 }
 
 #[test]
@@ -42,8 +59,8 @@ fn abs_above_runs_multithreaded() {
     let theta = 0.9;
     let mut serial = Lemp::builder().build(&p);
     let mut parallel = Lemp::builder().threads(4).build(&p);
-    let a = serial.abs_above_theta(&q, theta);
-    let b = parallel.abs_above_theta(&q, theta);
+    let a = run(&mut serial, &q, QueryRequest::abs_above_theta(theta)).0.into_above();
+    let b = run(&mut parallel, &q, QueryRequest::abs_above_theta(theta)).0.into_above();
     assert_eq!(canonical_pairs(&a.entries), canonical_pairs(&b.entries));
     assert!(a.entries.iter().any(|e| e.value < 0.0), "two-sided fixture");
 }
@@ -61,7 +78,7 @@ fn floored_topk_across_variants() {
     let mut reference: Option<Vec<Vec<usize>>> = None;
     for variant in [LempVariant::L, LempVariant::I, LempVariant::LI, LempVariant::Ta] {
         let mut engine = Lemp::builder().variant(variant).sample_size(6).build(&p);
-        let out = engine.row_top_k_with_floor(&q, k, floor);
+        let out = run(&mut engine, &q, QueryRequest::top_k_with_floor(k, floor)).0.into_top_k();
         for list in &out.lists {
             assert!(list.iter().all(|i| i.score >= floor), "{}", variant.name());
             assert!(list.len() <= k);
@@ -89,20 +106,21 @@ fn adaptive_on_reloaded_engine_matches_naive() {
         ..Default::default()
     };
     let (expect, _) = Naive.above_theta(&q, &p, 1.0);
-    let (out, report) = loaded.above_theta_adaptive(&q, 1.0, &acfg);
-    assert_eq!(canonical_pairs(&out.entries), canonical_pairs(&expect));
-    assert_eq!(report.buckets.len(), loaded.buckets().bucket_count());
+    let (out, reports) = run(&mut loaded, &q, QueryRequest::above_theta(1.0).adaptive(acfg));
+    assert_eq!(canonical_pairs(out.entries().unwrap()), canonical_pairs(&expect));
+    assert_eq!(reports[0].buckets.len(), loaded.buckets().bucket_count());
 
     let (expect_k, _) = Naive.row_top_k(&q, &p, 5);
-    let (out, _) = loaded.row_top_k_adaptive(&q, 5, &acfg);
-    assert!(topk_equivalent(&out.lists, &expect_k, 1e-9));
+    let (out, _) = run(&mut loaded, &q, QueryRequest::top_k(5).adaptive(acfg));
+    assert!(topk_equivalent(out.lists().unwrap(), &expect_k, 1e-9));
 }
 
 #[test]
 fn adaptive_report_names_align_with_arm_stats() {
     let (q, p) = data(40, 200, 0.7, 9400);
     let mut engine = Lemp::new(&p);
-    let (_, report) = engine.row_top_k_adaptive(&q, 3, &AdaptiveConfig::default());
+    let (_, reports) = run(&mut engine, &q, QueryRequest::top_k(3).adaptive(Default::default()));
+    let report = &reports[0];
     assert!(!report.arm_names.is_empty());
     assert_eq!(report.arm_names[0], "LENGTH");
     for bins in &report.buckets {
@@ -126,7 +144,7 @@ fn floor_interacts_with_streaming_column_top_k_reversal() {
     let k = 3;
     let floor = 0.4;
     let mut engine = Lemp::builder().sample_size(4).build(&q); // probes := Q
-    let out = engine.row_top_k_with_floor(&p, k, floor);
+    let out = run(&mut engine, &p, QueryRequest::top_k_with_floor(k, floor)).0.into_top_k();
     for (j, list) in out.lists.iter().enumerate() {
         let mut expect: Vec<(usize, f64)> = (0..q.len())
             .map(|i| (i, p.dot_between(j, &q, i)))

@@ -4,7 +4,15 @@
 use lemp::core::bounds::{feasible_region, local_threshold, max_cosine_given_coord};
 use lemp::core::bucket::{BucketPolicy, ProbeBuckets};
 use lemp::linalg::{kernels, stats, TopK, VectorStore};
+use lemp::{Engine, Lemp, QueryRequest, QueryResponse};
 use proptest::prelude::*;
+
+/// Warms `engine` on `queries` for `request` and runs it through the
+/// unified query surface.
+fn run_warm(engine: &mut Lemp, queries: &VectorStore, request: QueryRequest) -> QueryResponse {
+    engine.warm(queries, request.kind.warm_goal());
+    engine.run(&request, queries, &mut engine.query_scratch())
+}
 
 /// A random vector store: `n` vectors of dimension `dim` with values and
 /// per-vector scales drawn from the given ranges.
@@ -232,7 +240,7 @@ proptest! {
         }
         expect.sort_unstable();
         let mut engine = lemp::Lemp::builder().sample_size(4).build(&probes);
-        let out = engine.abs_above_theta(&queries, theta);
+        let out = run_warm(&mut engine, &queries, QueryRequest::abs_above_theta(theta)).into_above();
         use lemp::baselines::types::canonical_pairs;
         prop_assert_eq!(canonical_pairs(&out.entries), expect);
         for e in &out.entries {
@@ -259,7 +267,7 @@ proptest! {
         let queries = VectorStore::from_rows(&q_rows).unwrap();
 
         let mut engine = lemp::Lemp::builder().sample_size(4).build(&probes);
-        let plain = engine.row_top_k(&queries, k);
+        let plain = run_warm(&mut engine, &queries, QueryRequest::top_k(k)).into_top_k();
         // Floor at a score quantile, nudged off every observed score.
         let mut scores: Vec<f64> = plain.lists.iter().flatten().map(|i| i.score).collect();
         prop_assume!(!scores.is_empty());
@@ -268,7 +276,9 @@ proptest! {
         let floor = scores[idx] + 1e-7;
         prop_assume!(scores.iter().all(|s| (s - floor).abs() > 1e-9));
 
-        let floored = engine.row_top_k_with_floor(&queries, k, floor);
+        let mut scratch = engine.query_scratch();
+        let floored =
+            engine.run(&QueryRequest::top_k_with_floor(k, floor), &queries, &mut scratch).into_top_k();
         for (plain_list, floored_list) in plain.lists.iter().zip(&floored.lists) {
             let expect: Vec<usize> = plain_list
                 .iter()
@@ -309,11 +319,11 @@ proptest! {
         };
         let (expect, _) = Naive.above_theta(&queries, &probes, theta);
         let mut engine = lemp::Lemp::new(&probes);
-        let (out, _) = engine.above_theta_adaptive(&queries, theta, &acfg);
-        prop_assert_eq!(canonical_pairs(&out.entries), canonical_pairs(&expect));
+        let out = run_warm(&mut engine, &queries, QueryRequest::above_theta(theta).adaptive(acfg));
+        prop_assert_eq!(canonical_pairs(out.entries().unwrap()), canonical_pairs(&expect));
 
         let (expect_k, _) = Naive.row_top_k(&queries, &probes, 3);
-        let (out, _) = engine.row_top_k_adaptive(&queries, 3, &acfg);
-        prop_assert!(topk_equivalent(&out.lists, &expect_k, 1e-9));
+        let out = run_warm(&mut engine, &queries, QueryRequest::top_k(3).adaptive(acfg));
+        prop_assert!(topk_equivalent(out.lists().unwrap(), &expect_k, 1e-9));
     }
 }

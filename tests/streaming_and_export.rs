@@ -1,5 +1,5 @@
-//! Integration tests for the chunked drivers, role reversal and result
-//! serialization across crates and datasets.
+//! Integration tests for chunked (streamed) execution, role reversal and
+//! result serialization across crates and datasets.
 
 use lemp::baselines::export::{read_entries_csv, read_topk_csv, write_entries_csv, write_topk_csv};
 use lemp::baselines::types::{canonical_pairs, topk_equivalent, TopKLists};
@@ -7,7 +7,7 @@ use lemp::baselines::Naive;
 use lemp::core::column_top_k;
 use lemp::data::datasets::Dataset;
 use lemp::linalg::VectorStore;
-use lemp::{Lemp, LempVariant};
+use lemp::{Engine, Lemp, LempVariant, QueryRequest};
 
 fn workload(dataset: Dataset, scale: f64, seed: u64) -> (VectorStore, VectorStore) {
     dataset.spec().scaled(scale).generate(seed)
@@ -20,9 +20,12 @@ fn chunked_above_matches_monolithic_on_every_dataset() {
         let (queries, probes) = workload(dataset, 0.001, 31);
         let mut engine = Lemp::builder().sample_size(8).build(&probes);
         let expect = engine.above_theta(&queries, theta);
-        let mut engine = Lemp::builder().sample_size(8).build(&probes);
+        engine.warm(&queries, lemp::core::WarmGoal::Above(theta));
+        let plan = engine.plan(&QueryRequest::above_theta(theta).chunked(37));
         let mut got = Vec::new();
-        engine.above_theta_chunked(&queries, theta, 37, |es| got.extend_from_slice(es));
+        engine.execute_stream(&plan, &queries, &mut engine.query_scratch(), &mut |_, block| {
+            got.extend_from_slice(block.entries().unwrap())
+        });
         assert_eq!(
             canonical_pairs(&got),
             canonical_pairs(&expect.entries),
@@ -41,8 +44,19 @@ fn chunked_runs_work_with_threads_and_variants() {
         for threads in [1, 4] {
             let mut engine =
                 Lemp::builder().variant(variant).threads(threads).sample_size(8).build(&probes);
+            engine.warm(&queries, lemp::core::WarmGoal::TopK(k));
+            let plan = engine.plan(&QueryRequest::top_k(k).chunked(25));
             let mut lists: TopKLists = vec![Vec::new(); queries.len()];
-            engine.row_top_k_chunked(&queries, k, 25, |q, l| lists[q as usize] = l.to_vec());
+            engine.execute_stream(
+                &plan,
+                &queries,
+                &mut engine.query_scratch(),
+                &mut |at, block| {
+                    for (i, list) in block.into_top_k().lists.into_iter().enumerate() {
+                        lists[at + i] = list;
+                    }
+                },
+            );
             assert!(
                 topk_equivalent(&lists, &expect.lists, 1e-9),
                 "{} with {threads} threads diverges",

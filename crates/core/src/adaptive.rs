@@ -407,12 +407,13 @@ pub(crate) fn above_theta_adaptive_prepared(
                 theta,
                 theta_over_len: tol[qi],
                 local_threshold: th_b,
-                scaled: queries.vector(batch.ids[qi] as usize),
+                scaled: batch.scaled.vector(qi),
             };
             let pull_start = Instant::now();
             sink.clear();
             let internal = run_method(method, &ctx, bucket, None, scratch, &mut sink);
-            let (vdots, results) = verify_above(bucket, &ctx, &sink, batch.ids[qi], &mut entries);
+            let (vdots, results) =
+                verify_above(bucket, &ctx, &sink, batch.ids[qi], &mut scratch.exact, &mut entries);
             selector.record(b, bin, arm, pull_start.elapsed().as_nanos() as u64);
             counters.candidates += internal + vdots;
             counters.results += results;
@@ -489,7 +490,7 @@ fn adaptive_topk_one(
         let pull_start = Instant::now();
         sink.clear();
         let internal = run_method(method, &ctx, bucket, None, scratch, sink);
-        let vdots = verify_topk(bucket, &ctx, sink, seed_counts[b], top);
+        let vdots = verify_topk(bucket, &ctx, sink, seed_counts[b], &mut scratch.exact, top);
         selector.record(b, bin, arm, pull_start.elapsed().as_nanos() as u64);
         counters.candidates += internal + vdots;
         theta = top.threshold();

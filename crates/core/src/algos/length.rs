@@ -17,17 +17,19 @@ use super::{QueryCtx, Sink};
 /// Runs LENGTH: pushes the length-qualified prefix of the bucket as
 /// unverified candidates.
 pub fn run(ctx: &QueryCtx<'_>, bucket: &Bucket, sink: &mut Sink) {
+    let n = qualifying(ctx.theta_over_len, bucket);
+    sink.unverified.extend(0..n as u32);
+}
+
+/// Length of the qualifying prefix for a query with precomputed `θ/‖q‖`:
+/// the bucket's candidates are exactly its local ids `0..n`. Above-θ's
+/// LENGTH block reads this directly instead of listing the ids.
+pub(crate) fn qualifying(theta_over_len: f64, bucket: &Bucket) -> usize {
     // Tiny downward slack: `θ/‖q‖` and `‖p‖` are derived (division, sqrt)
     // quantities, so a pair sitting exactly on the threshold could
     // otherwise be lost to rounding.
-    let cut = ctx.theta_over_len - 1e-12 * ctx.theta_over_len.abs();
-    for (lid, &len) in bucket.lengths.iter().enumerate() {
-        if len >= cut {
-            sink.unverified.push(lid as u32);
-        } else {
-            break;
-        }
-    }
+    let cut = theta_over_len - 1e-12 * theta_over_len.abs();
+    bucket.lengths.iter().take_while(|&&len| len >= cut).count()
 }
 
 #[cfg(test)]

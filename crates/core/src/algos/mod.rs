@@ -88,6 +88,8 @@ pub struct MethodScratch {
     pub lut: QueryLut,
     /// Approximate score buffer for the quantized scan (`n` entries).
     pub qscores: Vec<f64>,
+    /// Exact inner products of the candidates being verified.
+    pub exact: Vec<f64>,
 }
 
 impl MethodScratch {
@@ -103,6 +105,7 @@ impl MethodScratch {
             row: Vec::new(),
             lut: QueryLut::default(),
             qscores: Vec::new(),
+            exact: Vec::new(),
         }
     }
 

@@ -187,6 +187,37 @@ pub(crate) fn run_method(
     }
 }
 
+/// Scores `query` against the bucket's original-scale probes `lids` into
+/// `exact` ([`kernels::dot4`]: four probes per step, each value
+/// bit-identical to one `kernels::dot`).
+fn score(query: &[f64], bucket: &Bucket, lids: &[u32], exact: &mut Vec<f64>) {
+    exact.clear();
+    exact.resize(lids.len(), 0.0);
+    kernels::dot4(query, bucket.origs.as_flat(), lids, exact);
+}
+
+/// Computes the exact inner products of `query` (original scale) with the
+/// bucket's probes `lids` and appends, in `lids` order, an entry for every
+/// one `≥ θ`. Returns the entries appended.
+pub(crate) fn verify_lids(
+    bucket: &Bucket,
+    query: &[f64],
+    theta: f64,
+    lids: &[u32],
+    query_id: u32,
+    exact: &mut Vec<f64>,
+    entries: &mut Vec<Entry>,
+) -> u64 {
+    score(query, bucket, lids, exact);
+    let before = entries.len();
+    for (&lid, &value) in lids.iter().zip(exact.iter()) {
+        if value >= theta {
+            entries.push(Entry { query: query_id, probe: bucket.ids[lid as usize], value });
+        }
+    }
+    (entries.len() - before) as u64
+}
+
 /// Verification for Above-θ (Alg. 1 line 16): computes exact inner products
 /// for unverified candidates, filters everything against θ, and appends
 /// result entries. Returns `(inner products computed, results emitted)`.
@@ -195,18 +226,12 @@ pub(crate) fn verify_above(
     ctx: &QueryCtx<'_>,
     sink: &Sink,
     query_id: u32,
+    exact: &mut Vec<f64>,
     entries: &mut Vec<Entry>,
 ) -> (u64, u64) {
-    let mut results = 0u64;
-    for &lid in &sink.unverified {
-        let l = lid as usize;
-        // Original-scale operands: bit-identical to a naive scan.
-        let value = kernels::dot(ctx.scaled, bucket.origs.vector(l));
-        if value >= ctx.theta {
-            entries.push(Entry { query: query_id, probe: bucket.ids[l], value });
-            results += 1;
-        }
-    }
+    // Original-scale operands: bit-identical to a naive scan.
+    let mut results =
+        verify_lids(bucket, ctx.scaled, ctx.theta, &sink.unverified, query_id, exact, entries);
     for &(lid, value) in &sink.verified {
         if value >= ctx.theta {
             entries.push(Entry { query: query_id, probe: bucket.ids[lid as usize], value });
@@ -219,24 +244,24 @@ pub(crate) fn verify_above(
 /// Verification for Row-Top-k: exact inner products (with `‖q‖ = 1`
 /// semantics, Sec. 4.5) offered to the running top-k heap. Candidates with
 /// `lid < skip_below` were already pushed by the warm-up seeding and are
-/// skipped to avoid duplicates. Returns inner products computed.
+/// skipped to avoid duplicates (dropped from `sink.unverified` before
+/// scoring). Returns inner products computed.
 pub(crate) fn verify_topk(
     bucket: &Bucket,
     ctx: &QueryCtx<'_>,
-    sink: &Sink,
+    sink: &mut Sink,
     skip_below: usize,
+    exact: &mut Vec<f64>,
     top: &mut TopK,
 ) -> u64 {
-    let mut dots = 0u64;
-    for &lid in &sink.unverified {
-        let l = lid as usize;
-        if l < skip_below {
-            continue;
-        }
-        let value = kernels::dot(ctx.dir, bucket.origs.vector(l));
-        dots += 1;
-        top.push(bucket.ids[l] as usize, value);
+    if skip_below > 0 {
+        sink.unverified.retain(|&lid| lid as usize >= skip_below);
     }
+    score(ctx.dir, bucket, &sink.unverified, exact);
+    for (&lid, &value) in sink.unverified.iter().zip(exact.iter()) {
+        top.push(bucket.ids[lid as usize] as usize, value);
+    }
+    let dots = sink.unverified.len() as u64;
     for &(lid, value) in &sink.verified {
         if (lid as usize) < skip_below {
             continue;
@@ -322,7 +347,7 @@ mod tests {
         };
         let sink = Sink { unverified: vec![0, 1], verified: vec![] };
         let mut entries = Vec::new();
-        let (dots, results) = verify_above(bucket, &ctx, &sink, 9, &mut entries);
+        let (dots, results) = verify_above(bucket, &ctx, &sink, 9, &mut Vec::new(), &mut entries);
         assert_eq!(dots, 2);
         assert_eq!(results, 1); // only the aligned probe reaches 2.0 ≥ 1.5
         assert_eq!(entries[0].query, 9);
@@ -342,9 +367,9 @@ mod tests {
             local_threshold: f64::NEG_INFINITY,
             scaled: &dir,
         };
-        let sink = Sink { unverified: (0..10).collect(), verified: vec![] };
+        let mut sink = Sink { unverified: (0..10).collect(), verified: vec![] };
         let mut top = TopK::new(10);
-        let dots = verify_topk(bucket, &ctx, &sink, 3, &mut top);
+        let dots = verify_topk(bucket, &ctx, &mut sink, 3, &mut Vec::new(), &mut top);
         assert_eq!(dots, 7, "first three lids must be skipped");
         assert_eq!(top.len(), 7);
     }

@@ -40,10 +40,11 @@
 //!                                           above), subspace-major
 //! ```
 //!
-//! A bucket's distortion bound `eps_b` is not stored: loading validates
-//! the codebook's shape, finiteness and padding
-//! ([`crate::quant::PqCodebook::from_parts`]) and every code index, and
-//! **recomputes** each `eps_b` from the full-precision directions
+//! A bucket's per-probe reconstruction errors and its distortion bound
+//! `eps_b` are not stored: loading validates the codebook's shape,
+//! finiteness and padding ([`crate::quant::PqCodebook::from_parts`]) and
+//! every code index, and **recomputes** the errors and `eps_b` from the
+//! full-precision directions
 //! ([`crate::quant::QuantizedBucket::from_codes`]) — a tampered image can
 //! corrupt the codebook but never the exactness contract.
 //!

@@ -18,19 +18,21 @@
 //!
 //! # Exactness contract
 //!
-//! Each bucket keeps its own **distortion bound**
-//! `eps_b = max_i ‖d̄_i − recon_i‖`, the worst reconstruction error among
-//! its members under the shared codebook. With a unit query direction
-//! `q̄`, Cauchy–Schwarz gives `|q̄·d̄_i − q̄·recon_i| ≤ eps_b`, so
-//! `approx_i + eps_b` upper-bounds the true cosine. The bucket scan
-//! (`run`) folds this bound into the per-probe θ/k-floor test: a probe is a
-//! candidate iff `len_i·(approx_i + eps_b)` clears the threshold, and every
-//! candidate is re-verified against the full-precision vectors by the
-//! shared verification step — Above-θ and Row-Top-k answers stay
-//! **bit-identical** to the exact engine however coarse the codebook is (a
-//! coarse codebook only raises `eps_b` and with it the candidate count).
-//! `eps_b` is always computed from the bucket's own directions — at
-//! encoding and again at load — never trusted from an image. The
+//! Each bucket keeps every probe's **reconstruction error**
+//! `err_i = ‖d̄_i − recon_i‖` under the shared codebook, and its worst one,
+//! the bucket's **distortion bound** `eps_b = max_i err_i`. With a unit
+//! query direction `q̄`, Cauchy–Schwarz gives `|q̄·d̄_i − q̄·recon_i| ≤
+//! err_i`, so `approx_i + err_i` upper-bounds the true cosine. The bucket
+//! scan (`run`) folds this per-probe bound into the θ/k-floor test: a
+//! probe is a candidate iff `len_i·(approx_i + err_i)` clears the
+//! threshold, and every candidate is re-verified against the
+//! full-precision vectors by the shared verification step — Above-θ and
+//! Row-Top-k answers stay **bit-identical** to the exact engine however
+//! coarse the codebook is (a coarse codebook only raises the errors and
+//! with them the candidate count). `eps_b` bounds the scan's early break
+//! and is what plans report. Both are always computed from the bucket's
+//! own directions — at encoding and again at load — never trusted from an
+//! image. The
 //! *approximate* mode (scoring by `len_i·approx_i` without verification,
 //! used by the `crates/approx` recall harness) trades that guarantee for
 //! speed.
@@ -318,8 +320,8 @@ impl PqCodebook {
         } else {
             QuantCodes::U16(wide)
         };
-        let eps = distortion(self, &codes, dirs);
-        QuantizedBucket { codebook: Arc::clone(self), n, codes, eps }
+        let (errs, eps) = distortion(self, &codes, dirs);
+        QuantizedBucket { codebook: Arc::clone(self), n, codes, eps, errs }
     }
 }
 
@@ -368,12 +370,15 @@ fn nearest(p: &[f64; SUB_DIM], cb: &[f64], dists: &mut [f64]) -> (usize, f64) {
     (best, best_d)
 }
 
-/// `max_i ‖d̄_i − recon_i‖` over the rows of `dirs` under `codes` — the one
-/// formula behind both encoding and loading, so a persisted bucket's bound
-/// round-trips bit-identically.
-fn distortion(codebook: &PqCodebook, codes: &QuantCodes, dirs: &VectorStore) -> f64 {
+/// Every row's reconstruction error `‖d̄_i − recon_i‖` over the rows of
+/// `dirs` under `codes`, and their maximum `eps` — the one formula behind
+/// both encoding and loading, so a persisted bucket's bounds round-trip
+/// bit-identically. `eps` is the root of the largest squared error, and
+/// `sqrt` is monotone, so every row's error is `≤ eps` bit for bit.
+fn distortion(codebook: &PqCodebook, codes: &QuantCodes, dirs: &VectorStore) -> (Vec<f64>, f64) {
     let n = dirs.len();
     let mut worst = 0.0f64;
+    let mut errs = Vec::with_capacity(n);
     for i in 0..n {
         let dir = dirs.vector(i);
         let mut e = 0.0;
@@ -384,20 +389,23 @@ fn distortion(codebook: &PqCodebook, codes: &QuantCodes, dirs: &VectorStore) -> 
             e += kernels::dist_sq(&dir[lo..lo + w], &c[..w]);
         }
         worst = worst.max(e);
+        errs.push(e.sqrt());
     }
-    worst.sqrt()
+    (errs, worst.sqrt())
 }
 
 /// The quantized representation of one bucket: its probes' packed codes
-/// under the engine's shared [`PqCodebook`] plus the bucket's own
-/// distortion bound `eps` (see the module docs for the exactness
-/// contract).
+/// under the engine's shared [`PqCodebook`] plus their reconstruction
+/// errors and the bucket's distortion bound `eps` (see the module docs for
+/// the exactness contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBucket {
     codebook: Arc<PqCodebook>,
     n: usize,
     codes: QuantCodes,
     eps: f64,
+    /// `errs[i] = ‖d̄_i − recon_i‖ ≤ eps`.
+    errs: Vec<f64>,
 }
 
 impl QuantizedBucket {
@@ -417,9 +425,10 @@ impl QuantizedBucket {
 
     /// Reassembles a bucket's quantized representation from persisted
     /// codes, validating their count, width and range against `codebook`
-    /// and the bucket's full-precision directions. The distortion bound is
-    /// **recomputed** from `dirs` — never trusted from the image — so a
-    /// tampered code can't silently break the exactness contract.
+    /// and the bucket's full-precision directions. The reconstruction errors
+    /// and the distortion bound are **recomputed** from `dirs` — never
+    /// trusted from the image — so a tampered code can't silently break the
+    /// exactness contract.
     pub fn from_codes(
         codebook: Arc<PqCodebook>,
         codes: QuantCodes,
@@ -443,8 +452,8 @@ impl QuantizedBucket {
         if let Some(bad) = (0..codes.len()).map(|i| codes.get(i)).find(|&c| c >= codebook.k) {
             return Err(format!("quantized codes: code {bad} ≥ k {}", codebook.k));
         }
-        let eps = distortion(&codebook, &codes, dirs);
-        Ok(Self { codebook, n, codes, eps })
+        let (errs, eps) = distortion(&codebook, &codes, dirs);
+        Ok(Self { codebook, n, codes, eps, errs })
     }
 
     /// The shared codebook the codes index into.
@@ -487,15 +496,22 @@ impl QuantizedBucket {
         self.eps
     }
 
+    /// Every probe's reconstruction error `‖d̄_i − recon_i‖` (each `≤`
+    /// [`eps`](Self::eps)), by local id.
+    pub fn errors(&self) -> &[f64] {
+        &self.errs
+    }
+
     /// The packed codes — persistence and inspection.
     pub fn codes(&self) -> &QuantCodes {
         &self.codes
     }
 
-    /// Resident bytes of the packed codes (the shared codebook is counted
-    /// once per engine, see [`PqCodebook::resident_bytes`]).
+    /// Resident bytes of the packed codes and the per-probe errors (the
+    /// shared codebook is counted once per engine, see
+    /// [`PqCodebook::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
-        self.codes.bytes()
+        self.codes.bytes() + self.errs.len() * std::mem::size_of::<f64>()
     }
 
     /// Builds the query's lookup table from the shared codebook (see
@@ -566,8 +582,8 @@ impl QueryLut {
 
 /// The QUANT bucket scan over the query's prebuilt `lut`: score every
 /// probe by table lookups, and emit as *unverified* candidates exactly the
-/// probes whose distortion-lifted score can still clear the per-probe
-/// threshold (`len_i·(approx_i + eps_b) ≥ θ/‖q‖`, with LENGTH's downward
+/// probes whose error-lifted score can still clear the per-probe
+/// threshold (`len_i·(approx_i + err_i) ≥ θ/‖q‖`, with LENGTH's downward
 /// boundary slack). The shared verification step re-checks every
 /// candidate against the full-precision vectors, so answers stay exact.
 pub(crate) fn run(
@@ -580,15 +596,15 @@ pub(crate) fn run(
 ) {
     quant.scores(lut, scores);
     let cut = ctx.theta_over_len - 1e-12 * ctx.theta_over_len.abs();
-    let eps = quant.eps();
-    // `approx + eps ≥ cos` and `approx ≤ ‖recon‖ ≤ 1 + eps`, so once
-    // `len·(1 + 2eps) < cut` no shorter probe can qualify either.
-    let lift = 1.0 + 2.0 * eps;
+    // `approx + err ≥ cos` and `approx ≤ ‖recon‖ ≤ 1 + err ≤ 1 + eps`, so
+    // once `len·(1 + 2eps) < cut` no shorter probe can qualify either.
+    let lift = 1.0 + 2.0 * quant.eps();
+    let errs = quant.errors();
     for (lid, &len) in bucket.lengths.iter().enumerate() {
         if len * lift < cut {
             break;
         }
-        if len * (scores[lid] + eps) >= cut {
+        if len * (scores[lid] + errs[lid]) >= cut {
             sink.unverified.push(lid as u32);
         }
     }
@@ -724,6 +740,32 @@ mod tests {
         for (i, &score) in scores.iter().enumerate() {
             let truth = kernels::dot(&query, d.vector(i));
             assert!((truth - score).abs() <= q.eps() + 1e-9, "probe {i}");
+        }
+    }
+
+    #[test]
+    fn per_probe_errors_stay_within_eps_and_bound_each_probe() {
+        for (dim, bits) in [(9, 2), (50, 8), (10, 3)] {
+            let d = dirs(200, dim, 29 + dim as u64);
+            let q = QuantizedBucket::train(&d, bits, 3).unwrap();
+            assert_eq!(q.errors().len(), d.len());
+            let query = d.vector(7).to_vec();
+            let mut lut = Vec::new();
+            let mut scores = Vec::new();
+            q.fill_lut(&query, &mut lut);
+            q.scores(&lut, &mut scores);
+            for (i, &err) in q.errors().iter().enumerate() {
+                assert!(err <= q.eps(), "probe {i}: {err} > eps {}", q.eps());
+                assert_eq!(err.to_bits(), recon_error(&q, &d, i).to_bits(), "probe {i}");
+                let truth = kernels::dot(&query, d.vector(i));
+                assert!(
+                    (truth - scores[i]).abs() <= err + 1e-9,
+                    "probe {i}: |truth − approx| > err"
+                );
+            }
+            // The largest error is the bucket bound itself.
+            let worst = q.errors().iter().copied().fold(0.0f64, f64::max);
+            assert_eq!(worst.to_bits(), q.eps().to_bits());
         }
     }
 

@@ -16,6 +16,11 @@ pub struct QueryBatch {
     pub lengths: Vec<f64>,
     /// Unit directions `q̄`, same order.
     pub dirs: VectorStore,
+    /// The queries in their original scale `‖q‖·q̄`, same order: the
+    /// operands of Above-θ verification, read in the sorted order the
+    /// drivers walk (a copy taken while sorting, so a bucket pass streams
+    /// through it instead of gathering rows of the caller's store).
+    pub scaled: VectorStore,
     /// Largest query length (drives L2AP's index threshold, Sec. 5).
     pub max_len: f64,
 }
@@ -33,9 +38,10 @@ impl QueryBatch {
                 .then(a.cmp(&b))
         });
         let selected: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        let (lengths, dirs) = queries.select(&selected).decompose();
+        let scaled = queries.select(&selected);
+        let (lengths, dirs) = scaled.decompose();
         let max_len = lengths.first().copied().unwrap_or(0.0);
-        Self { ids, lengths, dirs, max_len }
+        Self { ids, lengths, dirs, scaled, max_len }
     }
 
     /// Number of queries.
@@ -72,6 +78,10 @@ mod tests {
         assert_eq!(b.ids, vec![1, 2, 0]);
         assert_eq!(b.lengths, vec![3.0, 2.0, 1.0]);
         assert_eq!(b.max_len, 3.0);
+        // original-scale rows follow the sorted order bit for bit
+        for (i, &id) in b.ids.iter().enumerate() {
+            assert_eq!(b.scaled.vector(i), store.vector(id as usize));
+        }
         // directions normalized
         for d in b.dirs.iter() {
             assert!((lemp_linalg::kernels::norm(d) - 1.0).abs() < 1e-12);

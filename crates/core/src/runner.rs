@@ -11,6 +11,18 @@
 //! in a query-major pass after the others, and each query builds its
 //! lookup table once instead of once per bucket.
 //!
+//! **LENGTH blocks.** Within a bucket, consecutive queries routed to LENGTH
+//! are served four at a time. A LENGTH query's candidates are a prefix of
+//! the bucket, so the block's shortest prefix is shared by all four: the
+//! `kernels::dot_4q` multi-dot scores it with one load of each probe per
+//! four queries, and each query's own remainder goes through the
+//! verification step's `kernels::dot4` (one query, four probes per step).
+//! Every value is bit-identical to `kernels::dot`, and entries keep
+//! per-query order, so a block is indistinguishable from four LENGTH pairs
+//! in its output, counters and method mix. The verification operands come
+//! from the batch's length-sorted copy of the original-scale queries, so
+//! the inner loop reads them in order instead of gathering rows.
+//!
 //! **Row-Top-k** processes one query at a time: it seeds the running bound
 //! `θ′` with the k longest probes, then sweeps buckets in decreasing-length
 //! order running the Above-θ′ machinery per bucket, tightening `θ′` from
@@ -23,16 +35,19 @@
 //! queries are independent, so the query set is partitioned across scoped
 //! threads after indexes are built; counters and results are merged.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use lemp_baselines::types::{Entry, RetrievalCounters, TopKLists};
 use lemp_linalg::{kernels, TopK, VectorStore};
 
 use crate::algos::blsh_bucket::MinMatchTable;
-use crate::algos::{MethodScratch, QueryCtx, Sink};
+use crate::algos::{length, MethodScratch, QueryCtx, Sink};
 use crate::bounds::{local_threshold, region_threshold};
 use crate::bucket::{Bucket, ProbeBuckets};
-use crate::exec::{ensure_for, run_method, verify_above, verify_topk, BuildClock, RunConfig};
+use crate::exec::{
+    ensure_for, run_method, verify_above, verify_lids, verify_topk, BuildClock, RunConfig,
+};
 use crate::query::QueryBatch;
 use crate::tuner::{self, TuneGoal, Tuning};
 use crate::variant::{resolve, LempVariant, ResolvedMethod, TunedParams};
@@ -203,7 +218,6 @@ pub(crate) fn max_bucket_len(buckets: &ProbeBuckets) -> usize {
 /// The read-only inputs every Above-θ (query, bucket) pair shares.
 struct AboveCtx<'a> {
     batch: &'a QueryBatch,
-    queries: &'a VectorStore,
     theta: f64,
     tol: &'a [f64],
     variant: LempVariant,
@@ -214,37 +228,119 @@ struct AboveCtx<'a> {
 struct AboveOut<'a> {
     scratch: &'a mut MethodScratch,
     sink: Sink,
+    /// A LENGTH block's shared-prefix scores, `block[l][i]` for probe `l`
+    /// and the block's query `i`.
+    block: Vec<[f64; 4]>,
     entries: &'a mut Vec<Entry>,
     counters: &'a mut RetrievalCounters,
     mix: MethodMix,
 }
 
+impl<'a> AboveOut<'a> {
+    fn new(
+        scratch: &'a mut MethodScratch,
+        entries: &'a mut Vec<Entry>,
+        counters: &'a mut RetrievalCounters,
+    ) -> Self {
+        Self {
+            scratch,
+            sink: Sink::default(),
+            block: Vec::new(),
+            entries,
+            counters,
+            mix: MethodMix::default(),
+        }
+    }
+}
+
 impl AboveCtx<'_> {
-    /// Serves sorted query `qi` against `bucket` (Alg. 1 lines 10–16): pick
-    /// the method for the query's local threshold, run it, verify. The
-    /// bucket's index must already be built. Forced inline: it is the
-    /// whole body of Above-θ's per-bucket query loop, its hottest loop.
+    /// The method and local threshold of sorted query `qi` on `bucket`.
     #[inline(always)]
-    fn pair(&self, bucket: &Bucket, tuned: &TunedParams, qi: usize, out: &mut AboveOut<'_>) {
+    fn method_for(&self, bucket: &Bucket, tuned: &TunedParams, qi: usize) -> (ResolvedMethod, f64) {
         let qlen = self.batch.lengths[qi];
         let th_b = region_threshold(self.theta, qlen, bucket.max_len, bucket.min_len);
-        let method = resolve(self.variant, tuned, th_b);
+        (resolve(self.variant, tuned, th_b), th_b)
+    }
+
+    /// Serves sorted query `qi` against `bucket` with a non-LENGTH `method`
+    /// (Alg. 1 lines 10–16): run it, verify. The bucket's index must
+    /// already be built. LENGTH pairs go through [`Self::length_block`].
+    #[inline(always)]
+    fn pair(
+        &self,
+        bucket: &Bucket,
+        qi: usize,
+        method: ResolvedMethod,
+        th_b: f64,
+        out: &mut AboveOut<'_>,
+    ) {
+        debug_assert!(method != ResolvedMethod::Length, "LENGTH pairs run as blocks");
         out.mix.record(method);
+        let qlen = self.batch.lengths[qi];
         let ctx = QueryCtx {
             dir: self.batch.dirs.vector(qi),
             len: qlen,
             theta: self.theta,
             theta_over_len: self.tol[qi],
             local_threshold: th_b,
-            scaled: self.queries.vector(self.batch.ids[qi] as usize),
+            scaled: self.batch.scaled.vector(qi),
         };
         out.sink.clear();
         let internal =
             run_method(method, &ctx, bucket, self.blsh_table, out.scratch, &mut out.sink);
+        let query = self.batch.ids[qi];
         let (vdots, results) =
-            verify_above(bucket, &ctx, &out.sink, self.batch.ids[qi], out.entries);
+            verify_above(bucket, &ctx, &out.sink, query, &mut out.scratch.exact, out.entries);
         out.counters.candidates += internal + vdots;
         out.counters.results += results;
+    }
+
+    /// Serves the consecutive sorted queries `qs` (one to four, all routed
+    /// to LENGTH) against `bucket` as one block. Each query's candidates are
+    /// a prefix of the bucket, so the shortest prefix is common to all of
+    /// them: [`kernels::dot_4q`] scores it for the whole block, each probe
+    /// loaded once per four queries (a block of fewer than four repeats its
+    /// last query in the spare lanes). Each query's remaining prefix goes
+    /// through the shared verification ([`verify_lids`], four probes per
+    /// step). All values are bit-identical to `kernels::dot`, and entries,
+    /// counters and the method mix come out exactly as one LENGTH pair per
+    /// query would produce them.
+    fn length_block(&self, bucket: &Bucket, qs: Range<usize>, out: &mut AboveOut<'_>) {
+        debug_assert!((1..=4).contains(&qs.len()));
+        let m = qs.len();
+        let lane = |i: usize| qs.start + i.min(m - 1);
+        let cands: [usize; 4] =
+            std::array::from_fn(|i| length::qualifying(self.tol[lane(i)], bucket));
+        let vecs: [&[f64]; 4] = std::array::from_fn(|i| self.batch.scaled.vector(lane(i)));
+        let common = cands.iter().copied().min().unwrap_or(0);
+        out.block.clear();
+        out.block.resize(common, [0.0; 4]);
+        let rows = &bucket.origs.as_flat()[..common * bucket.origs.dim()];
+        kernels::dot_4q(vecs, rows, &mut out.block);
+        for (i, &n) in cands.iter().enumerate().take(m) {
+            let query = self.batch.ids[lane(i)];
+            let before = out.entries.len();
+            for (l, values) in out.block.iter().enumerate() {
+                if values[i] >= self.theta {
+                    out.entries.push(Entry { query, probe: bucket.ids[l], value: values[i] });
+                }
+            }
+            out.sink.clear();
+            out.sink.unverified.extend(common as u32..n as u32);
+            let lids = &out.sink.unverified;
+            verify_lids(
+                bucket,
+                vecs[i],
+                self.theta,
+                lids,
+                query,
+                &mut out.scratch.exact,
+                out.entries,
+            );
+            out.mix.record(ResolvedMethod::Length);
+            out.counters.candidates += n as u64;
+            out.counters.results += (out.entries.len() - before) as u64;
+        }
     }
 
     /// Serves the sorted queries `[lo, hi)` against the first `reachable`
@@ -253,7 +349,10 @@ impl AboveCtx<'_> {
     /// QUANT-routed buckets: those run in one query-major pass afterwards,
     /// so each query builds its lookup table once, at its first QUANT
     /// bucket, and reuses it for the rest — their packed codes are small
-    /// enough that the bucket-outer cache argument does not apply.
+    /// enough that the bucket-outer cache argument does not apply. Within
+    /// a bucket, runs of consecutive LENGTH-routed queries are served four
+    /// at a time by [`Self::length_block`]; a query routed elsewhere ends
+    /// the run, which is flushed first so entries keep query order.
     fn range(
         &self,
         buckets: &[Bucket],
@@ -274,8 +373,25 @@ impl AboveCtx<'_> {
                 quant.push((bucket, params, hi_b));
             } else {
                 out.scratch.ensure(bucket.len());
+                // First query of the pending LENGTH run.
+                let mut run_lo = lo;
                 for qi in lo..hi_b {
-                    self.pair(bucket, params, qi, out);
+                    let (method, th_b) = self.method_for(bucket, params, qi);
+                    if method == ResolvedMethod::Length {
+                        if qi + 1 - run_lo == 4 {
+                            self.length_block(bucket, run_lo..qi + 1, out);
+                            run_lo = qi + 1;
+                        }
+                    } else {
+                        if run_lo < qi {
+                            self.length_block(bucket, run_lo..qi, out);
+                        }
+                        self.pair(bucket, qi, method, th_b, out);
+                        run_lo = qi + 1;
+                    }
+                }
+                if run_lo < hi_b {
+                    self.length_block(bucket, run_lo..hi_b, out);
                 }
             }
         }
@@ -285,7 +401,8 @@ impl AboveCtx<'_> {
             // is pruned for every later one.
             for &(bucket, params, _) in quant.iter().take_while(|q| qi < q.2) {
                 out.scratch.ensure(bucket.len());
-                self.pair(bucket, params, qi, out);
+                let (method, th_b) = self.method_for(bucket, params, qi);
+                self.pair(bucket, qi, method, th_b, out);
             }
         }
     }
@@ -356,7 +473,6 @@ pub(crate) fn above_theta(
     let (mix, lut_builds) = above_theta_body(
         buckets,
         &batch,
-        queries,
         theta,
         &tol,
         reachable,
@@ -393,7 +509,6 @@ pub(crate) fn above_theta(
 fn above_theta_body(
     buckets: &ProbeBuckets,
     batch: &QueryBatch,
-    queries: &VectorStore,
     theta: f64,
     tol: &[f64],
     reachable: usize,
@@ -404,16 +519,10 @@ fn above_theta_body(
     entries: &mut Vec<Entry>,
     counters: &mut RetrievalCounters,
 ) -> (MethodMix, u64) {
-    let ctx = AboveCtx { batch, queries, theta, tol, variant: cfg.variant, blsh_table };
+    let ctx = AboveCtx { batch, theta, tol, variant: cfg.variant, blsh_table };
     let reached = &buckets.buckets()[..reachable];
     if cfg.threads <= 1 {
-        let mut out = AboveOut {
-            scratch,
-            sink: Sink::default(),
-            entries,
-            counters,
-            mix: MethodMix::default(),
-        };
+        let mut out = AboveOut::new(scratch, entries, counters);
         let builds = out.scratch.lut.builds();
         ctx.range(reached, per_bucket, 0, batch.len(), &mut out);
         return (out.mix, out.scratch.lut.builds() - builds);
@@ -431,13 +540,7 @@ fn above_theta_body(
                         let mut scratch = MethodScratch::new(max_bucket_len(buckets));
                         let mut entries = Vec::new();
                         let mut counters = RetrievalCounters::default();
-                        let mut out = AboveOut {
-                            scratch: &mut scratch,
-                            sink: Sink::default(),
-                            entries: &mut entries,
-                            counters: &mut counters,
-                            mix: MethodMix::default(),
-                        };
+                        let mut out = AboveOut::new(&mut scratch, &mut entries, &mut counters);
                         ctx.range(reached, per_bucket, lo, hi, &mut out);
                         let mix = out.mix;
                         (entries, counters, mix, scratch.lut.builds())
@@ -489,7 +592,6 @@ pub(crate) fn above_theta_prepared(
     let (mix, lut_builds) = above_theta_body(
         buckets,
         &batch,
-        queries,
         theta,
         &tol,
         reachable,
@@ -637,7 +739,7 @@ fn topk_one_query(
         };
         sink.clear();
         let internal = run_method(method, &ctx, bucket, blsh_table, scratch, sink);
-        let vdots = verify_topk(bucket, &ctx, sink, seed_counts[b], top);
+        let vdots = verify_topk(bucket, &ctx, sink, seed_counts[b], &mut scratch.exact, top);
         counters.candidates += internal + vdots;
         theta = top.threshold().max(floor_scaled);
     }
@@ -1003,7 +1105,110 @@ fn parallel_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::BucketPolicy;
+    use lemp_baselines::Naive;
     use lemp_data::synthetic::GeneratorConfig;
+
+    /// The unblocked Above-θ reference: every (query, bucket) pair runs its
+    /// method and verifies each candidate with one `kernels::dot`, in the
+    /// same bucket-outer, query-inner order as [`AboveCtx::range`].
+    fn per_pair_reference(
+        ctx: &AboveCtx<'_>,
+        queries: &VectorStore,
+        buckets: &[Bucket],
+        per_bucket: &[TunedParams],
+    ) -> (Vec<Entry>, u64, u64, MethodMix) {
+        let (mut entries, mut candidates, mut results) = (Vec::new(), 0, 0);
+        let mut mix = MethodMix::default();
+        let mut scratch = MethodScratch::new(64);
+        let mut sink = Sink::default();
+        for (bucket, params) in buckets.iter().zip(per_bucket) {
+            scratch.ensure(bucket.len());
+            for qi in 0..unpruned_prefix(ctx.batch, ctx.theta, bucket.max_len) {
+                let (method, th_b) = ctx.method_for(bucket, params, qi);
+                mix.record(method);
+                let q = QueryCtx {
+                    dir: ctx.batch.dirs.vector(qi),
+                    len: ctx.batch.lengths[qi],
+                    theta: ctx.theta,
+                    theta_over_len: ctx.tol[qi],
+                    local_threshold: th_b,
+                    scaled: queries.vector(ctx.batch.ids[qi] as usize),
+                };
+                sink.clear();
+                candidates += run_method(method, &q, bucket, None, &mut scratch, &mut sink);
+                for &lid in &sink.unverified {
+                    let l = lid as usize;
+                    let value = kernels::dot(q.scaled, bucket.origs.vector(l));
+                    candidates += 1;
+                    if value >= ctx.theta {
+                        let query = ctx.batch.ids[qi];
+                        entries.push(Entry { query, probe: bucket.ids[l], value });
+                        results += 1;
+                    }
+                }
+                assert!(sink.verified.is_empty(), "LENGTH/COORD/INCR verify outside");
+            }
+        }
+        (entries, candidates, results, mix)
+    }
+
+    #[test]
+    fn length_block_matches_per_pair_path_and_naive() {
+        let probes = GeneratorConfig::gaussian(300, 9, 0.6).generate(41);
+        let policy = BucketPolicy { min_bucket: 40, ..Default::default() };
+        let mut pb = ProbeBuckets::build(&probes, &policy);
+        assert!(pb.bucket_count() > 2, "several buckets");
+        let cfg = RunConfig::default();
+        let mut clock = BuildClock::default();
+        for b in 0..pb.bucket_count() {
+            ensure_for(&mut pb, b, ResolvedMethod::Incr(2), 0.0, &cfg, &mut clock);
+        }
+        let all_queries = GeneratorConfig::gaussian(9, 9, 0.6).generate(42);
+        // LI with a t_b in the middle of the range splits every bucket's
+        // query run between LENGTH blocks and INCR pairs.
+        let li = TunedParams { tb: 0.3, phi: 2, quant: false };
+        for (variant, params) in [(LempVariant::L, TunedParams::default()), (LempVariant::LI, li)] {
+            let per_bucket = vec![params; pb.bucket_count()];
+            let mut total = MethodMix::default();
+            for m in 1..=9 {
+                let queries = all_queries.select(&(0..m).collect::<Vec<_>>());
+                let batch = QueryBatch::build(&queries);
+                let theta = 0.8;
+                let tol: Vec<f64> =
+                    batch.lengths.iter().map(|&l| theta_over_len(theta, l)).collect();
+                let ctx = AboveCtx { batch: &batch, theta, tol: &tol, variant, blsh_table: None };
+                let (mut entries, mut counters) = (Vec::new(), RetrievalCounters::default());
+                let mut scratch = MethodScratch::new(max_bucket_len(&pb));
+                let mut out = AboveOut::new(&mut scratch, &mut entries, &mut counters);
+                ctx.range(pb.buckets(), &per_bucket, 0, m, &mut out);
+                let mix = out.mix;
+                let (want, cands, results, want_mix) =
+                    per_pair_reference(&ctx, &queries, pb.buckets(), &per_bucket);
+                let what = format!("{variant:?} m={m}");
+                assert_eq!(entries.len(), want.len(), "{what}");
+                for (got, want) in entries.iter().zip(&want) {
+                    assert_eq!(
+                        (got.query, got.probe, got.value.to_bits()),
+                        (want.query, want.probe, want.value.to_bits()),
+                        "{what}: entry order and bits"
+                    );
+                }
+                assert_eq!((counters.candidates, counters.results), (cands, results), "{what}");
+                assert_eq!(mix, want_mix, "{what}");
+                total.merge(&mix);
+                let (naive, _) = Naive.above_theta(&queries, &probes, theta);
+                let key = |e: &Entry| (e.query, e.probe, e.value.to_bits());
+                let mut got: Vec<_> = entries.iter().map(key).collect();
+                let mut exact: Vec<_> = naive.iter().map(key).collect();
+                got.sort_unstable();
+                exact.sort_unstable();
+                assert_eq!(got, exact, "{what}: exact against Naive");
+            }
+            assert!(total.length > 0, "{variant:?}: LENGTH blocks ran");
+            assert_eq!(total.incr > 0, variant == LempVariant::LI, "{variant:?}: INCR pairs");
+        }
+    }
 
     #[test]
     fn floor_scaling_handles_degenerate_lengths() {

@@ -23,7 +23,7 @@ use lemp_core::{
     AdaptiveConfig, DynamicLemp, Engine, ExecOptions, Lemp, QueryKind, QueryPlan, QueryRequest,
     QueryResponse, QueryRows, ShardedLemp, WarmGoal,
 };
-use lemp_core::{BucketPolicy, RunConfig};
+use lemp_core::{BucketPolicy, LempVariant, RunConfig};
 use lemp_data::synthetic::GeneratorConfig;
 use lemp_linalg::VectorStore;
 
@@ -157,6 +157,35 @@ fn assert_matches(label: &str, response: &QueryResponse, kind: &QueryKind, refer
             assert!(topk_equivalent(lists, &reference.floored, 0.0), "{label}");
         }
         _ => panic!("{label}: response shape does not match the kind"),
+    }
+}
+
+/// Above-θ through `Engine` with every (query, bucket) pair on LENGTH
+/// (variant L) and with LENGTH and INCR mixed (LI), at every query count
+/// from one to nine, so LENGTH blocks of one to four queries all occur:
+/// entries match Naive bit for bit, one and three worker threads agree,
+/// and under L the method mix is all LENGTH.
+#[test]
+fn length_blocks_are_exact_at_every_block_size() {
+    let (all_q, p) = fixture();
+    for variant in [LempVariant::L, LempVariant::LI] {
+        for threads in [1, 3] {
+            let mut engine =
+                Lemp::builder().variant(variant).sample_size(8).threads(threads).build(&p);
+            engine.warm_up(&all_q, WarmGoal::Above(THETA));
+            let mut scratch = engine.query_scratch();
+            for m in 1..=9 {
+                let q = all_q.select(&(0..m).collect::<Vec<_>>());
+                let response = engine.run(&QueryRequest::above_theta(THETA), &q, &mut scratch);
+                let (naive, _) = Naive.above_theta(&q, &p, THETA);
+                let what = format!("{variant:?} threads={threads} m={m}");
+                assert_eq!(canon(response.entries().unwrap()), canon(&naive), "{what}");
+                let mix = response.stats.method_mix;
+                if variant == LempVariant::L {
+                    assert_eq!(mix.length, mix.total(), "{what}: every pair on LENGTH");
+                }
+            }
+        }
     }
 }
 

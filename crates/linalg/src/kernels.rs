@@ -9,6 +9,20 @@
 //! AVX2 versions in [`crate::simd`], which produce **bit-identical** results
 //! (same per-lane operation order, no FMA) — enabling SIMD never changes a
 //! single produced value anywhere in the workspace.
+//!
+//! **Multi-dot kernels.** [`dot4`] scores one query against a list of
+//! scattered rows, four rows per step (LEMP's verification of a candidate
+//! list), and [`dot_4q`] scores four queries against a run of consecutive
+//! rows, one row load serving all four (LEMP's LENGTH block, where a run of
+//! queries shares a bucket prefix). One `dot` call is a single
+//! floating-point add chain, so the core mostly waits on add latency; four
+//! or eight independent chains per step keep it busy, the shared operand
+//! is loaded once for all of them, and the loop runs inside the kernel, so
+//! call and dispatch costs are paid once per batch. The contract: every
+//! value either kernel produces is **bit-identical** to the corresponding
+//! [`dot`] — same per-lane multiply-then-add order, same
+//! `(s0 + s1) + (s2 + s3)` reduction, same tail — on the scalar and the
+//! AVX2 path alike, so batching candidates changes no produced value.
 
 use crate::simd;
 
@@ -26,6 +40,40 @@ use crate::simd;
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     simd::dot(a, b)
+}
+
+/// Inner products of `q` with gathered rows of a row-major matrix:
+/// `out[j] = dot(q, row lids[j])`, where `rows` holds rows of `q.len()`
+/// values. Each `out[j]` is bit-identical to that [`dot`]. The rows are
+/// scored four per step against one load of each chunk of `q` (a last group
+/// of one to three is padded with a repeated row); dispatches to a
+/// bit-identical AVX2 kernel when available.
+///
+/// # Panics
+/// If `out` is shorter than `lids` or a `lids[j]` names no full row.
+#[inline]
+pub fn dot4(q: &[f64], rows: &[f64], lids: &[u32], out: &mut [f64]) {
+    assert!(out.len() >= lids.len(), "dot4: out must hold one value per row index");
+    let max = lids.iter().copied().max().map_or(0, |l| l as usize + 1);
+    assert!(max * q.len() <= rows.len(), "dot4: row index out of range");
+    simd::dot4(q, rows, lids, out);
+}
+
+/// Inner products of four queries with consecutive rows of a row-major
+/// matrix: `out[l][i] = dot(qs[i], row l)`, where `rows` holds `out.len()`
+/// rows of the queries' length. Each value is bit-identical to that
+/// [`dot`]. Every row chunk is loaded once per four queries, two rows per
+/// step; dispatches to a bit-identical AVX2 kernel when available. Callers
+/// with fewer than four queries repeat one and ignore its lanes.
+///
+/// # Panics
+/// If the queries differ in length or `rows.len() != out.len() · qs[0].len()`.
+#[inline]
+pub fn dot_4q(qs: [&[f64]; 4], rows: &[f64], out: &mut [[f64; 4]]) {
+    let dim = qs[0].len();
+    assert!(qs.iter().all(|q| q.len() == dim), "dot_4q: queries differ in length");
+    assert_eq!(rows.len(), out.len() * dim, "dot_4q: rows must hold out.len() rows");
+    simd::dot_4q(qs, rows, out);
 }
 
 /// Squared Euclidean norm `‖v‖²`.

@@ -11,6 +11,19 @@
 //! double arithmetic, so the SIMD results are equal **bit for bit** to the
 //! scalar ones — verified exhaustively and property-tested in this module.
 //!
+//! The multi-dot kernels behind [`crate::kernels::dot4`] and
+//! [`crate::kernels::dot_4q`] keep four such accumulators per step, one per
+//! operand pair (eight in `dot_4q`, which takes two probes per step), and
+//! reduce each group of four together: a horizontal add of two
+//! accumulators gives each pair's `s0 + s1` and `s2 + s3`, and a 128-bit
+//! lane shuffle lines those up so one vector add forms
+//! `(s0 + s1) + (s2 + s3)` for all four pairs. The tails run as one vector
+//! whose lane `i` is pair `i`'s tail, started at `+0.0` like the scalar
+//! one. Every lane therefore performs exactly the operations of one scalar
+//! `dot`, in the same order, and equals it bit for bit. Both kernels loop
+//! inside the AVX2 function, so the call, the dispatch and the operand
+//! set-up are paid once per batch rather than once per four products.
+//!
 //! Bit-identity matters in this workspace: exact LEMP variants are tested
 //! to return byte-identical results to the Naive baseline, and the dynamic
 //! maintenance engine looks vectors up by the bit pattern of their stored
@@ -124,6 +137,33 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
         return unsafe { avx2::dot(a, b) };
     }
     dot_scalar(a, b)
+}
+
+/// Dispatched gathered multi-dot; see [`crate::kernels::dot4`] for the
+/// contract. The caller has checked every row index and `out`'s length.
+#[inline]
+pub(crate) fn dot4(q: &[f64], rows: &[f64], lids: &[u32], out: &mut [f64]) {
+    debug_assert!(out.len() >= lids.len());
+    #[cfg(target_arch = "x86_64")]
+    if q.len() >= MIN_SIMD_LEN && active() == Isa::Avx2 {
+        // SAFETY: as in `dot`; every `lids[j]` names a full row of `rows`.
+        return unsafe { avx2::dot4(q, rows, lids, out) };
+    }
+    dot4_scalar(q, rows, lids, out)
+}
+
+/// Dispatched four-query multi-dot over consecutive rows; see
+/// [`crate::kernels::dot_4q`]. The caller has checked the shapes.
+#[inline]
+pub(crate) fn dot_4q(qs: [&[f64]; 4], rows: &[f64], out: &mut [[f64; 4]]) {
+    debug_assert!(qs.iter().all(|q| q.len() == qs[0].len()));
+    debug_assert_eq!(rows.len(), out.len() * qs[0].len());
+    #[cfg(target_arch = "x86_64")]
+    if qs[0].len() >= MIN_SIMD_LEN && active() == Isa::Avx2 {
+        // SAFETY: as in `dot`; `rows` holds `out.len()` rows of `qs[0].len()`.
+        return unsafe { avx2::dot_4q(&qs, rows, out) };
+    }
+    dot_4q_scalar(qs, rows, out)
 }
 
 /// Dispatched squared distance; see [`crate::kernels::dist_sq`].
@@ -256,6 +296,32 @@ pub(crate) fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
+/// Row `l` of a row-major matrix with rows of `dim` values.
+#[inline]
+fn row(rows: &[f64], dim: usize, l: usize) -> &[f64] {
+    &rows[l * dim..(l + 1) * dim]
+}
+
+/// Portable reference gathered multi-dot: one [`dot_scalar`] per row.
+#[inline]
+pub(crate) fn dot4_scalar(q: &[f64], rows: &[f64], lids: &[u32], out: &mut [f64]) {
+    for (o, &l) in out.iter_mut().zip(lids) {
+        *o = dot_scalar(q, row(rows, q.len(), l as usize));
+    }
+}
+
+/// Portable reference four-query multi-dot: one [`dot_scalar`] per query
+/// and row. `p·q` and `q·p` round identically (IEEE multiplication
+/// commutes), so the operand order does not matter.
+#[inline]
+pub(crate) fn dot_4q_scalar(qs: [&[f64]; 4], rows: &[f64], out: &mut [[f64; 4]]) {
+    let dim = qs[0].len();
+    for (l, o) in out.iter_mut().enumerate() {
+        let p = row(rows, dim, l);
+        *o = qs.map(|q| dot_scalar(q, p));
+    }
+}
+
 /// Portable reference squared distance (same accumulator scheme as `dot`).
 #[inline]
 pub(crate) fn dist_sq_scalar(a: &[f64], b: &[f64]) -> f64 {
@@ -294,9 +360,10 @@ pub(crate) fn axpy_scalar(s: f64, b: &[f64], a: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m128i, __m256d, _mm256_add_pd, _mm256_i32gather_pd, _mm256_loadu_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32,
-        _mm_cvtepu8_epi32, _mm_cvtsi32_si128, _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32,
+        __m128i, __m256d, _mm256_add_pd, _mm256_hadd_pd, _mm256_i32gather_pd, _mm256_loadu_pd,
+        _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm_cvtepu16_epi32, _mm_cvtepu8_epi32, _mm_cvtsi32_si128,
+        _mm_cvtsi64_si128, _mm_min_epi32, _mm_set1_epi32,
     };
 
     /// Reduces the 4-lane accumulator exactly like the scalar kernels:
@@ -336,6 +403,133 @@ mod avx2 {
             tail += a[j] * b[j];
         }
         reduce(acc) + tail
+    }
+
+    /// Reduces four accumulators (pair `i` in `acc[i]`, lane `j` playing
+    /// the scalar kernel's `s_j`) plus the per-pair `tail` vector to the
+    /// four results: two horizontal adds give every pair's `s0 + s1` and
+    /// `s2 + s3`, and the 128-bit shuffles gather them so one add forms
+    /// `(s0 + s1) + (s2 + s3)` for all four pairs.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn reduce4(acc: [__m256d; 4], tail: __m256d) -> __m256d {
+        // hadd(x, y) = [x0+x1, y0+y1, x2+x3, y2+y3].
+        let h01 = _mm256_hadd_pd(acc[0], acc[1]);
+        let h23 = _mm256_hadd_pd(acc[2], acc[3]);
+        let lo = _mm256_permute2f128_pd::<0x20>(h01, h23);
+        let hi = _mm256_permute2f128_pd::<0x31>(h01, h23);
+        _mm256_add_pd(_mm256_add_pd(lo, hi), tail)
+    }
+
+    /// Lane `i` is `dot(a, b[i])` over `n` elements, bit-identical to
+    /// [`super::dot_scalar`]: each chunk of `a` is loaded once for four
+    /// independent add chains, and the tails run as one vector (lane `i`
+    /// is pair `i`'s `tail`, starting from `+0.0` like the scalar one).
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that `a` and every
+    /// `b[i]` point at `n` readable values.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dot_one_four(a: *const f64, b: [*const f64; 4], n: usize) -> __m256d {
+        let chunks = n / 4;
+        let mut acc = [_mm256_setzero_pd(); 4];
+        for c in 0..chunks {
+            let j = c * 4;
+            let av = _mm256_loadu_pd(a.add(j));
+            for (acc, b) in acc.iter_mut().zip(b) {
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, _mm256_loadu_pd(b.add(j))));
+            }
+        }
+        let mut tail = _mm256_setzero_pd();
+        for j in chunks * 4..n {
+            let bv = _mm256_set_pd(*b[3].add(j), *b[2].add(j), *b[1].add(j), *b[0].add(j));
+            tail = _mm256_add_pd(tail, _mm256_mul_pd(_mm256_set1_pd(*a.add(j)), bv));
+        }
+        reduce4(acc, tail)
+    }
+
+    /// AVX2 gathered multi-dot, bit-identical to [`super::dot4_scalar`]:
+    /// four rows per step through [`dot_one_four`]; a last group of one to
+    /// three rows repeats its first row in the spare lanes, which are not
+    /// stored.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2, that every `lids[j]` names
+    /// a full row of `rows` (rows of `q.len()` values) and that
+    /// `out.len() >= lids.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot4(q: &[f64], rows: &[f64], lids: &[u32], out: &mut [f64]) {
+        let dim = q.len();
+        let row = |l: u32| rows.as_ptr().add(l as usize * dim);
+        let mut groups = lids.chunks_exact(4);
+        let mut o = out.as_mut_ptr();
+        for g in &mut groups {
+            let v = dot_one_four(q.as_ptr(), [row(g[0]), row(g[1]), row(g[2]), row(g[3])], dim);
+            _mm256_storeu_pd(o, v);
+            o = o.add(4);
+        }
+        let rest = groups.remainder();
+        if let Some(&first) = rest.first() {
+            let lane = |i: usize| row(rest.get(i).copied().unwrap_or(first));
+            let v = dot_one_four(q.as_ptr(), [lane(0), lane(1), lane(2), lane(3)], dim);
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), o, rest.len());
+        }
+    }
+
+    /// AVX2 four-query multi-dot over consecutive rows, bit-identical to
+    /// [`super::dot_4q_scalar`]. Two rows per step: eight accumulators
+    /// (query `i` × row `r`) share each loaded query chunk, so a step loads
+    /// six chunks for eight products instead of five for four. An odd last
+    /// row goes through [`dot_one_four`] with the row as the shared
+    /// operand.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2, that every `qs[i]` has
+    /// `qs[0].len()` values and that `rows` holds `out.len()` rows of that
+    /// many values.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_4q(qs: &[&[f64]; 4], rows: &[f64], out: &mut [[f64; 4]]) {
+        let dim = qs[0].len();
+        let q = qs.map(<[f64]>::as_ptr);
+        let chunks = dim / 4;
+        let n = out.len();
+        let mut l = 0;
+        while l + 2 <= n {
+            let p0 = rows.as_ptr().add(l * dim);
+            let p1 = p0.add(dim);
+            let mut acc0 = [_mm256_setzero_pd(); 4];
+            let mut acc1 = [_mm256_setzero_pd(); 4];
+            for c in 0..chunks {
+                let j = c * 4;
+                let v0 = _mm256_loadu_pd(p0.add(j));
+                let v1 = _mm256_loadu_pd(p1.add(j));
+                for i in 0..4 {
+                    let qv = _mm256_loadu_pd(q[i].add(j));
+                    acc0[i] = _mm256_add_pd(acc0[i], _mm256_mul_pd(v0, qv));
+                    acc1[i] = _mm256_add_pd(acc1[i], _mm256_mul_pd(v1, qv));
+                }
+            }
+            let mut tail0 = _mm256_setzero_pd();
+            let mut tail1 = _mm256_setzero_pd();
+            for j in chunks * 4..dim {
+                let qv = _mm256_set_pd(*q[3].add(j), *q[2].add(j), *q[1].add(j), *q[0].add(j));
+                tail0 = _mm256_add_pd(tail0, _mm256_mul_pd(_mm256_set1_pd(*p0.add(j)), qv));
+                tail1 = _mm256_add_pd(tail1, _mm256_mul_pd(_mm256_set1_pd(*p1.add(j)), qv));
+            }
+            _mm256_storeu_pd(out[l].as_mut_ptr(), reduce4(acc0, tail0));
+            _mm256_storeu_pd(out[l + 1].as_mut_ptr(), reduce4(acc1, tail1));
+            l += 2;
+        }
+        if l < n {
+            let v = dot_one_four(rows.as_ptr().add(l * dim), q, dim);
+            _mm256_storeu_pd(out[l].as_mut_ptr(), v);
+        }
     }
 
     /// AVX2 squared distance, bit-identical to [`super::dist_sq_scalar`].
@@ -767,6 +961,137 @@ mod tests {
             assert_eq!(dist_sq(&a, &b).to_bits(), want_dist.to_bits(), "{isa:?}");
             override_isa(prev);
         }
+    }
+
+    /// Vectors mixing signed zeros, subnormals and magnitudes from 1e-300
+    /// to 1e150 (products never overflow), so any deviation from `dot`'s
+    /// rounding and reduction order shows in the bits.
+    fn hostile(seed: u64, n: usize) -> Vec<f64> {
+        let specials = [0.0, -0.0, 5e-324, -2.5e-310, f64::MIN_POSITIVE, 1e-300, -1e150, 1e149];
+        pseudo(seed, n)
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match (i as u64 ^ seed) % 7 {
+                0 => {
+                    specials[(i + seed as usize) % specials.len()]
+                        * if x < 0.0 { -1.0 } else { 1.0 }
+                }
+                1 => x * 1e-160,
+                2 => x * 1e150,
+                3 => x * 1e-308,
+                _ => x,
+            })
+            .collect()
+    }
+
+    /// Checks `kernels::dot4` and `kernels::dot_4q` value by value against
+    /// `kernels::dot` under the active ISA. `qs` are the queries; `probes`
+    /// the rows, scored in every group size from one to five (full groups,
+    /// padded partial groups, one and two rows per `dot_4q` step).
+    fn assert_multi_dot_matches_dot(qs: [&[f64]; 4], probes: &[Vec<f64>], what: &str) {
+        use crate::kernels;
+        let rows: Vec<f64> = probes.concat();
+        for take in 0..=probes.len() {
+            let rows = &rows[..take * qs[0].len()];
+            let mut block = vec![[f64::NAN; 4]; take];
+            kernels::dot_4q(qs, rows, &mut block);
+            for (l, values) in block.iter().enumerate() {
+                for (i, value) in values.iter().enumerate() {
+                    let want = kernels::dot(qs[i], &probes[l]);
+                    assert_eq!(want.to_bits(), kernels::dot(&probes[l], qs[i]).to_bits());
+                    assert_eq!(value.to_bits(), want.to_bits(), "{what} dot_4q row {l} q {i}");
+                }
+            }
+            // Gather the rows backwards (and row 0 twice) to exercise
+            // scattered indexes and repeats.
+            let lids: Vec<u32> = (0..take as u32).rev().chain((take > 0).then_some(0)).collect();
+            for q in qs {
+                let mut out = vec![f64::NAN; lids.len()];
+                kernels::dot4(q, &probes.concat(), &lids, &mut out);
+                for (&l, value) in lids.iter().zip(&out) {
+                    let want = kernels::dot(q, &probes[l as usize]);
+                    assert_eq!(value.to_bits(), want.to_bits(), "{what} dot4 row {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_dot_is_bit_identical_to_dot_on_every_isa_and_length() {
+        let _g = isa_guard();
+        for isa in [Isa::Scalar, Isa::Avx2] {
+            if isa == Isa::Avx2 && !avx2_supported() {
+                continue;
+            }
+            let prev = override_isa(isa);
+            // 0..=67 crosses MIN_SIMD_LEN and every `n mod 4` tail length.
+            for n in 0..=67usize {
+                for round in 0..3u64 {
+                    let seed = 100 * n as u64 + 10 * round;
+                    let gen = |s: u64| if round == 0 { pseudo(s, n) } else { hostile(s, n) };
+                    let q: Vec<Vec<f64>> = (0..4).map(|k| gen(seed + k)).collect();
+                    let probes: Vec<Vec<f64>> = (4..9).map(|k| gen(seed + k)).collect();
+                    let qs = [&q[0][..], &q[1][..], &q[2][..], &q[3][..]];
+                    assert_multi_dot_matches_dot(qs, &probes, &format!("{isa:?} n={n} r={round}"));
+                }
+            }
+            override_isa(prev);
+        }
+    }
+
+    #[test]
+    fn multi_dot_keeps_signed_zero_and_padding_lanes() {
+        let _g = isa_guard();
+        for isa in [Isa::Scalar, Isa::Avx2] {
+            if isa == Isa::Avx2 && !avx2_supported() {
+                continue;
+            }
+            let prev = override_isa(isa);
+            for n in [0usize, 3, 8, 9, 50] {
+                // All products −0.0: every value sums to +0.0 through the
+                // `+0.0` tail, exactly as `dot` does.
+                let neg = vec![-0.0; n];
+                let pos = vec![1.0; n];
+                let v = pseudo(n as u64, n);
+                // Repeated queries (a padded block) must not disturb a lane.
+                let probes = [neg.clone(), pos.clone(), v.clone()];
+                assert_multi_dot_matches_dot([&pos, &pos, &neg, &v], &probes, &format!("{isa:?}"));
+                assert_multi_dot_matches_dot([&neg, &v, &v, &v], &probes, &format!("{isa:?}"));
+            }
+            override_isa(prev);
+        }
+    }
+
+    #[test]
+    fn avx2_multi_dot_matches_its_scalar_reference() {
+        if !avx2_supported() {
+            return;
+        }
+        for n in 0..130 {
+            let q: Vec<Vec<f64>> = (0..4).map(|k| hostile(7000 + 10 * n as u64 + k, n)).collect();
+            let qs = [&q[0][..], &q[1][..], &q[2][..], &q[3][..]];
+            let rows = hostile(8000 + n as u64, 7 * n);
+            let (mut want, mut got) = (vec![[0.0; 4]; 7], vec![[0.0; 4]; 7]);
+            dot_4q_scalar(qs, &rows, &mut want);
+            // SAFETY: guarded by `avx2_supported` above; shapes match.
+            unsafe { avx2::dot_4q(&qs, &rows, &mut got) };
+            let bits = |v: &[[f64; 4]]| v.concat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got), "n={n}");
+            let lids = [6, 0, 3, 3, 5, 1, 2];
+            let (mut want, mut got) = (vec![0.0; 7], vec![0.0; 7]);
+            dot4_scalar(qs[0], &rows, &lids, &mut want);
+            // SAFETY: as above; every lid names one of the seven rows.
+            unsafe { avx2::dot4(qs[0], &rows, &lids, &mut got) };
+            for j in 0..7 {
+                assert_eq!(want[j].to_bits(), got[j].to_bits(), "n={n} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row index out of range")]
+    fn dot4_rejects_rows_out_of_range() {
+        crate::kernels::dot4(&[1.0; 3], &[0.0; 6], &[2], &mut [0.0]);
     }
 
     #[test]

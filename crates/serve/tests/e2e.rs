@@ -1,7 +1,7 @@
 //! End-to-end tests: boot the server on an ephemeral port, drive it over
 //! real sockets, and check every answer against the naive baseline.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lemp_baselines::types::topk_equivalent;
 use lemp_baselines::Naive;
@@ -1432,8 +1432,21 @@ fn metrics_expose_replication_gauges_on_both_roles() {
     }
     assert!(caught_up, "follower never reported lag 0 at 82 probes via /metrics");
 
-    // The leader advertises its role and per-follower progress.
-    let samples = scrape_metrics(leader_addr);
+    // The leader advertises its role and per-follower progress. It learns
+    // the follower's ack only on the follower's next poll, after the
+    // follower already reports lag 0, so wait (bounded) for the ack to land.
+    let acked_lsn = |samples: &std::collections::HashMap<String, f64>| {
+        samples
+            .iter()
+            .find(|(k, _)| k.starts_with("lemp_replication_follower_acked_lsn{"))
+            .map(|(_, &v)| v)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut samples = scrape_metrics(leader_addr);
+    while acked_lsn(&samples) != Some(2.0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        samples = scrape_metrics(leader_addr);
+    }
     assert_eq!(samples["lemp_replication_role"], 1.0, "leader advertises role 1");
     assert_eq!(samples["lemp_replication_fence_epoch"], 0.0);
     assert_eq!(samples["lemp_replication_followers"], 1.0);
